@@ -9,6 +9,7 @@ Conventions shared by every check:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,72 +54,88 @@ def _violation(lhs: Fraction, rhs: Fraction, at: tuple) -> str:
     return f"lhs = {format_grade(lhs)} < rhs = {format_grade(rhs)} at ({place})"
 
 
-def _closure_condition(group, q_labels, grades) -> ConditionResult:
+def _scaled_columns(grades) -> list[list[int]]:
+    """Per q label, every grade as an integer over the column's common
+    denominator, so the scans compare exactly without `Fraction` overhead."""
+    columns = []
+    for col in zip(*grades):
+        dens = [g.denominator for g in col]
+        den = math.lcm(*dens)
+        columns.append([g.numerator * (den // d) for g, d in zip(col, dens)])
+    return columns
+
+
+def _closure_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(xy, q) >= min(grade(x, q), grade(y, q))
     table = group.table
     n = group.order
     for k, q in enumerate(q_labels):
-        col = [grades[x][k] for x in range(n)]
+        col = columns[k]
         for x in range(n):
             gx = col[x]
             row = table[x]
             for y in range(n):
-                bound = gx if gx <= col[y] else col[y]
-                if col[row[y]] < bound:
+                gy = col[y]
+                if col[row[y]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)
+                    bound = grades[x][k] if gx <= gy else grades[y][k]
                     return ConditionResult(
-                        False, at, _violation(col[row[y]], bound, at)
+                        False, at, _violation(grades[row[y]][k], bound, at)
                     )
     return ConditionResult(True)
 
 
-def _anti_closure_condition(group, q_labels, grades) -> ConditionResult:
+def _anti_closure_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(xy, q) <= max(grade(x, q), grade(y, q))
     table = group.table
     n = group.order
     for k, q in enumerate(q_labels):
-        col = [grades[x][k] for x in range(n)]
+        col = columns[k]
         for x in range(n):
             gx = col[x]
             row = table[x]
             for y in range(n):
-                bound = gx if gx >= col[y] else col[y]
-                if col[row[y]] > bound:
+                gy = col[y]
+                if col[row[y]] > (gx if gx >= gy else gy):
                     at = (group.label(x), group.label(y), q)
+                    bound = grades[x][k] if gx >= gy else grades[y][k]
                     return ConditionResult(
-                        False, at, _violation(bound, col[row[y]], at)
+                        False, at, _violation(bound, grades[row[y]][k], at)
                     )
     return ConditionResult(True)
 
 
-def _inverse_condition(group, q_labels, grades) -> ConditionResult:
+def _inverse_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(x^-1, q) >= grade(x, q)
+    inverses = group.inverses
     for k, q in enumerate(q_labels):
+        col = columns[k]
         for x in range(group.order):
-            gx = grades[x][k]
-            ginv = grades[group.inv(x)][k]
-            if ginv < gx:
+            if col[inverses[x]] < col[x]:
                 at = (group.label(x), q)
-                return ConditionResult(False, at, _violation(ginv, gx, at))
+                return ConditionResult(
+                    False, at, _violation(grades[inverses[x]][k], grades[x][k], at)
+                )
     return ConditionResult(True)
 
 
-def _quotient_condition(group, q_labels, grades) -> ConditionResult:
+def _quotient_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(x y^-1, q) >= min(grade(x, q), grade(y, q))
     table = group.table
     inverses = group.inverses
     n = group.order
     for k, q in enumerate(q_labels):
-        col = [grades[x][k] for x in range(n)]
+        col = columns[k]
         for x in range(n):
             gx = col[x]
             row = table[x]
             for y in range(n):
-                bound = gx if gx <= col[y] else col[y]
-                if col[row[inverses[y]]] < bound:
+                gy = col[y]
+                if col[row[inverses[y]]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)
+                    bound = grades[x][k] if gx <= gy else grades[y][k]
                     return ConditionResult(
-                        False, at, _violation(col[row[inverses[y]]], bound, at)
+                        False, at, _violation(grades[row[inverses[y]]][k], bound, at)
                     )
     return ConditionResult(True)
 
@@ -132,8 +149,10 @@ def _first_failure(*conditions: ConditionResult):
 
 def check_qfuzzy_subgroup(theta: QFuzzySubset) -> CheckReport:
     """Q-fuzzy subgroup test on the raw grades."""
-    closure = _closure_condition(theta.group, theta.q_labels, theta.grades)
-    inverse = _inverse_condition(theta.group, theta.q_labels, theta.grades)
+    group, q_labels, grades = theta.group, theta.q_labels, theta.grades
+    columns = _scaled_columns(grades)
+    closure = _closure_condition(group, q_labels, grades, columns)
+    inverse = _inverse_condition(group, q_labels, grades, columns)
     witness, detail = _first_failure(closure, inverse)
     return CheckReport(
         verdict=closure.ok and inverse.ok,
@@ -151,9 +170,10 @@ def check_alpha_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     two-condition one and any disagreement is flagged as an audit event.
     """
     group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
-    closure = _closure_condition(group, q_labels, grades)
-    inverse = _inverse_condition(group, q_labels, grades)
-    quotient = _quotient_condition(group, q_labels, grades)
+    columns = _scaled_columns(grades)
+    closure = _closure_condition(group, q_labels, grades, columns)
+    inverse = _inverse_condition(group, q_labels, grades, columns)
+    quotient = _quotient_condition(group, q_labels, grades, columns)
     verdict = closure.ok and inverse.ok
     witness, detail = _first_failure(closure, inverse, quotient)
     return CheckReport(
@@ -170,8 +190,9 @@ def check_anti_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
     group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
-    anti = _anti_closure_condition(group, q_labels, grades)
-    inverse = _inverse_condition(group, q_labels, grades)
+    columns = _scaled_columns(grades)
+    anti = _anti_closure_condition(group, q_labels, grades, columns)
+    inverse = _inverse_condition(group, q_labels, grades, columns)
     witness, detail = _first_failure(anti, inverse)
     return CheckReport(
         verdict=anti.ok and inverse.ok,

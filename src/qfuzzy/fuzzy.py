@@ -17,6 +17,10 @@ class CarrierError(ValueError):
     """Two fuzzy subsets do not share a group / q-label carrier."""
 
 
+class InvariantError(RuntimeError):
+    """A restriction identity failed its re-check against the direct result."""
+
+
 @dataclass(frozen=True)
 class QFuzzySubset:
     group: FiniteGroup
@@ -86,9 +90,12 @@ def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) ->
 
 def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
     alpha = validate_grade(alpha)
-    restricted = tuple(
-        tuple(min(g, alpha) for g in row) for row in theta.grades
-    )
+    # min(g, alpha) by cross-multiplying: g <= a/b iff g.num * b <= a * g.den
+    a, b = alpha.numerator, alpha.denominator
+    restricted = tuple([
+        tuple([g if g.numerator * b <= a * g.denominator else alpha for g in row])
+        for row in theta.grades
+    ])
     return AlphaQFuzzySubset(theta, alpha, restricted)
 
 
@@ -170,7 +177,10 @@ def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset
     for rx in phi.restricted:
         for ry in psi.restricted:
             direct.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
-    assert out.restricted == tuple(direct)
+    if out.restricted != tuple(direct):
+        raise InvariantError(
+            "product: restricting the base differs from the direct product"
+        )
     return out
 
 
@@ -216,14 +226,20 @@ def image(f: GroupMap, phi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
     """
     out = alpha_restrict(image_subset(f, phi.base), phi.alpha)
     direct = image_subset(f, QFuzzySubset(phi.group, phi.q_labels, phi.restricted))
-    assert out.restricted == direct.grades
+    if out.restricted != direct.grades:
+        raise InvariantError(
+            "image: restricting the image differs from the direct image"
+        )
     return out
 
 
 def preimage(f: GroupMap, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
     out = alpha_restrict(preimage_subset(f, psi.base), psi.alpha)
     direct = preimage_subset(f, QFuzzySubset(psi.group, psi.q_labels, psi.restricted))
-    assert out.restricted == direct.grades
+    if out.restricted != direct.grades:
+        raise InvariantError(
+            "preimage: restricting the preimage differs from the direct preimage"
+        )
     return out
 
 

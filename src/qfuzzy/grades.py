@@ -17,6 +17,8 @@ class GradeError(ValueError):
 
 
 def validate_grade(value: Fraction) -> Fraction:
+    if type(value) is Fraction and 0 <= value.numerator <= value.denominator:
+        return value  # denominators are positive, so this is 0 <= value <= 1
     if isinstance(value, float):
         raise GradeError(
             f"float grade {value!r} rejected: pass a Fraction or a string literal"

@@ -18,9 +18,11 @@ produces identical reports regardless of execution order.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .grades import ZERO, ONE, format_grade, parse_grade, validate_grade
 from .groups import (
@@ -562,11 +564,12 @@ def _run_pair_claim(prop_id, config, pairs, setup_fn, trial_fn, note_fn=None):
     return reports
 
 
-def _enumerated_maps(left, right, config, kinds):
+@lru_cache(maxsize=None)
+def _enumerated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
     maps = []
     for kind in kinds:
-        maps.extend(enumerate_maps(left, right, kind, config.max_source))
-    return maps
+        maps.extend(enumerate_maps(left, right, kind, max_source))
+    return tuple(maps)
 
 
 def _random_alpha(rng, config):
@@ -600,7 +603,9 @@ def _audit_p3_3(config):
 
 def _audit_p3_4(config):
     def setup(left, right, config):
-        return _enumerated_maps(left, right, config, (HOMOMORPHISM, ANTI_HOMOMORPHISM))
+        return _enumerated_maps(
+            left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), config.max_source
+        )
 
     def trial(left, right, maps, q_labels, rng, config, tally):
         theta = random_qfuzzy(left, q_labels, rng, config.grade_pool)
@@ -813,7 +818,7 @@ def _audit_r4_16(config):
 
 
 def _anti_maps_setup(left, right, config):
-    return _enumerated_maps(left, right, config, (ANTI_HOMOMORPHISM,))
+    return _enumerated_maps(left, right, (ANTI_HOMOMORPHISM,), config.max_source)
 
 
 def _audit_p5_2(config):
@@ -1288,12 +1293,11 @@ def _reproduce_4_10() -> AuditReport:
 # --- counterexample search ------------------------------------------------------
 
 
-def _is_fuzzy_subgroup_by_levels(group, column) -> bool:
+def _is_fuzzy_subgroup_by_levels(subgroups, column) -> bool:
     # independent oracle: every achieved level set must be a crisp subgroup
-    subgroup_pool = set(all_subgroups(group))
-    for cut in sorted(set(column)):
-        members = frozenset(x for x in range(group.order) if column[x] >= cut)
-        if members not in subgroup_pool:
+    for cut in set(column):
+        members = frozenset(x for x, g in enumerate(column) if g >= cut)
+        if members not in subgroups:
             return False
     return True
 
@@ -1351,17 +1355,26 @@ def _two_level_candidates(group, pool):
 
 def _search_r4_9(config):
     q = ("q",)
+    pool = config.grade_pool
+    # the oracle compares grades as integers over the pool's common denominator
+    den = math.lcm(*(g.denominator for g in pool))
+    scaled = {g: g.numerator * (den // g.denominator) for g in pool}
     for gname in config.catalog:
         group = standard_group(gname)
         if group.order > 6:
             continue
-        candidates = _two_level_candidates(group, config.grade_pool)
-        for col_a in candidates:
-            for col_b in candidates:
-                merged = tuple(max(x, y) for x, y in zip(col_a, col_b))
-                for alpha in config.grade_pool:
-                    restricted = [min(g, alpha) for g in merged]
-                    if _is_fuzzy_subgroup_by_levels(group, restricted):
+        subgroups = set(all_subgroups(group))
+        candidates = [
+            (col, tuple(scaled[g] for g in col))
+            for col in _two_level_candidates(group, pool)
+        ]
+        for col_a, int_a in candidates:
+            for col_b, int_b in candidates:
+                merged = tuple(map(max, int_a, int_b))
+                for alpha in pool:
+                    cap = scaled[alpha]
+                    restricted = [g if g <= cap else cap for g in merged]
+                    if _is_fuzzy_subgroup_by_levels(subgroups, restricted):
                         continue
                     # two-level tables restrict to subgroups for any alpha;
                     # confirm everything through the checking module

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from qfuzzy import fuzzy
 from qfuzzy.grades import GradeError, format_grade, format_grade_text, parse_grade
 from qfuzzy.groups import HOMOMORPHISM, enumerate_maps, make_map, standard_group
 from qfuzzy.fuzzy import (
+    AlphaQFuzzySubset,
     CarrierError,
+    InvariantError,
     alpha_restrict,
     achieved_grades,
     combine,
@@ -181,6 +184,22 @@ def test_preimage_of_image_contains_original():
             theta = make_qfuzzy(c2, Q, rows)
             back = preimage_subset(m, image_subset(m, theta))
             assert compare("subset", theta, back) == (True, None)
+
+
+def test_broken_restriction_raises_invariant_error(monkeypatch):
+    # The re-checks must raise, not assert: `python -O` strips asserts.
+    theta = klein_theta()
+    phi = alpha_restrict(theta, F(1, 5))
+    ident = make_map(theta.group, theta.group, range(4), HOMOMORPHISM)
+    monkeypatch.setattr(
+        fuzzy, "alpha_restrict", lambda t, a: AlphaQFuzzySubset(t, a, t.grades)
+    )
+    with pytest.raises(InvariantError, match="product"):
+        product(phi, phi)
+    with pytest.raises(InvariantError, match="image"):
+        image(ident, phi)
+    with pytest.raises(InvariantError, match="preimage"):
+        preimage(ident, phi)
 
 
 def test_level_sets():
