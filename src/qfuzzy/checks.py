@@ -9,11 +9,10 @@ Conventions shared by every check:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grades import format_grade
+from .grades import format_grade, scaled_columns
 from .fuzzy import AlphaQFuzzySubset, QFuzzySubset, achieved_grades, level_set
 from .groups import analyze_subset
 
@@ -52,17 +51,6 @@ class CheckReport:
 def _violation(lhs: Fraction, rhs: Fraction, at: tuple) -> str:
     place = ", ".join(at)
     return f"lhs = {format_grade(lhs)} < rhs = {format_grade(rhs)} at ({place})"
-
-
-def _scaled_columns(grades) -> list[list[int]]:
-    """Per q label, every grade as an integer over the column's common
-    denominator, so the scans compare exactly without `Fraction` overhead."""
-    columns = []
-    for col in zip(*grades):
-        dens = [g.denominator for g in col]
-        den = math.lcm(*dens)
-        columns.append([g.numerator * (den // d) for g, d in zip(col, dens)])
-    return columns
 
 
 def _closure_condition(group, q_labels, grades, columns) -> ConditionResult:
@@ -150,7 +138,7 @@ def _first_failure(*conditions: ConditionResult):
 def check_qfuzzy_subgroup(theta: QFuzzySubset) -> CheckReport:
     """Q-fuzzy subgroup test on the raw grades."""
     group, q_labels, grades = theta.group, theta.q_labels, theta.grades
-    columns = _scaled_columns(grades)
+    columns = scaled_columns(grades)
     closure = _closure_condition(group, q_labels, grades, columns)
     inverse = _inverse_condition(group, q_labels, grades, columns)
     witness, detail = _first_failure(closure, inverse)
@@ -170,7 +158,7 @@ def check_alpha_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     two-condition one and any disagreement is flagged as an audit event.
     """
     group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
-    columns = _scaled_columns(grades)
+    columns = scaled_columns(grades)
     closure = _closure_condition(group, q_labels, grades, columns)
     inverse = _inverse_condition(group, q_labels, grades, columns)
     quotient = _quotient_condition(group, q_labels, grades, columns)
@@ -190,7 +178,7 @@ def check_anti_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
     group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
-    columns = _scaled_columns(grades)
+    columns = scaled_columns(grades)
     anti = _anti_closure_condition(group, q_labels, grades, columns)
     inverse = _inverse_condition(group, q_labels, grades, columns)
     witness, detail = _first_failure(anti, inverse)
@@ -209,14 +197,11 @@ class KernelSet:
 
 def kernel_set(phi: AlphaQFuzzySubset) -> KernelSet:
     """Per q label: elements whose grade equals the identity's grade."""
-    group = phi.group
-    e = group.identity
+    e = phi.group.identity
     per_label = {}
-    for k, q in enumerate(phi.q_labels):
-        ge = phi.restricted[e][k]
-        per_label[q] = frozenset(
-            x for x in range(group.order) if phi.restricted[x][k] == ge
-        )
+    for q, column in zip(phi.q_labels, scaled_columns(phi.restricted)):
+        top = column[e]
+        per_label[q] = frozenset([x for x, g in enumerate(column) if g == top])
     return KernelSet(per_label)
 
 

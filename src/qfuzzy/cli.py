@@ -144,9 +144,14 @@ def _cmd_fuzzy_check(args) -> int:
     base_dir = Path(args.path).parent
 
     def resolve(spec: str):
+        # a group file next to the fuzzy file, else a catalog name
         candidate = base_dir / spec
-        if candidate.exists():
-            return parse_group_file(candidate.read_text())
+        try:
+            is_file = candidate.is_file()
+        except OSError as exc:  # e.g. a name too long to look up
+            raise FileFormatError(f"cannot read {candidate}: {exc.strerror}")
+        if is_file:
+            return parse_group_file(_read_file(str(candidate)))
         return standard_group(spec)
 
     theta = parse_fuzzy_file(_read_file(args.path), resolve_group=resolve)

@@ -9,7 +9,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grades import GradeError, ZERO, ONE, parse_grade, format_grade, validate_grade
+from .grades import (
+    GradeError,
+    ZERO,
+    ONE,
+    format_grade,
+    grade_le,
+    greatest,
+    parse_grade,
+    scaled_column,
+    validate_grade,
+)
 from .groups import FiniteGroup, GroupMap, FileFormatError, direct_product, standard_group
 
 
@@ -90,13 +100,17 @@ def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) ->
 
 def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
     alpha = validate_grade(alpha)
-    # min(g, alpha) by cross-multiplying: g <= a/b iff g.num * b <= a * g.den
-    a, b = alpha.numerator, alpha.denominator
-    restricted = tuple([
-        tuple([g if g.numerator * b <= a * g.denominator else alpha for g in row])
-        for row in theta.grades
-    ])
-    return AlphaQFuzzySubset(theta, alpha, restricted)
+    # min(g, alpha) by `grade_le`'s cross-multiplication, inlined because it
+    # runs on every grade of every restriction: n/d <= a/b iff n * b <= a * d
+    a, b = alpha.as_integer_ratio()
+    restricted = []
+    for row in theta.grades:
+        capped = []
+        for g in row:
+            n, d = g.as_integer_ratio()
+            capped.append(g if n * b <= a * d else alpha)
+        restricted.append(tuple(capped))
+    return AlphaQFuzzySubset(theta, alpha, tuple(restricted))
 
 
 def _require_shared_carrier(a, b) -> None:
@@ -108,15 +122,17 @@ def combine(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
     """Pointwise max (union) or min (intersection)."""
     _require_shared_carrier(a, b)
     if kind == "union":
-        op = max
+        rows = tuple(
+            tuple([x if grade_le(y, x) else y for x, y in zip(ra, rb)])
+            for ra, rb in zip(a.grades, b.grades)
+        )
     elif kind == "intersection":
-        op = min
+        rows = tuple(
+            tuple([x if grade_le(x, y) else y for x, y in zip(ra, rb)])
+            for ra, rb in zip(a.grades, b.grades)
+        )
     else:
         raise ValueError(f"unknown combine kind {kind!r}")
-    rows = tuple(
-        tuple(op(x, y) for x, y in zip(ra, rb))
-        for ra, rb in zip(a.grades, b.grades)
-    )
     return QFuzzySubset(a.group, a.q_labels, rows)
 
 
@@ -140,7 +156,10 @@ def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
     for x in range(a.group.order):
         for k, q in enumerate(a.q_labels):
             ga, gb = a.grades[x][k], b.grades[x][k]
-            ok = ga <= gb if kind == "subset" else ga == gb
+            if kind == "subset":
+                ok = grade_le(ga, gb)
+            else:  # Fractions are kept in lowest terms
+                ok = ga.as_integer_ratio() == gb.as_integer_ratio()
             if not ok:
                 return False, (a.group.label(x), q)
     return True, None
@@ -159,36 +178,28 @@ def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset
     """
     if phi.q_labels != psi.q_labels:
         raise CarrierError("product factors have different q labels")
-    if phi.alpha != psi.alpha:
+    if phi.alpha.as_integer_ratio() != psi.alpha.as_integer_ratio():
         raise CarrierError(
             f"product factors have different alphas: "
             f"{format_grade(phi.alpha)} vs {format_grade(psi.alpha)}"
         )
     prod_group = direct_product(phi.group, psi.group)
-    nq = len(phi.q_labels)
-    base_rows = []
-    for rx in phi.base.grades:
-        for ry in psi.base.grades:
-            base_rows.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
-    base = QFuzzySubset(prod_group, phi.q_labels, tuple(base_rows))
+
+    def pairwise_min(left, right):
+        return tuple(
+            tuple([x if grade_le(x, y) else y for x, y in zip(rx, ry)])
+            for rx in left
+            for ry in right
+        )
+
+    base = QFuzzySubset(prod_group, phi.q_labels, pairwise_min(phi.base.grades, psi.base.grades))
     out = alpha_restrict(base, phi.alpha)
     # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
-    direct = []
-    for rx in phi.restricted:
-        for ry in psi.restricted:
-            direct.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
-    if out.restricted != tuple(direct):
+    if out.restricted != pairwise_min(phi.restricted, psi.restricted):
         raise InvariantError(
             "product: restricting the base differs from the direct product"
         )
     return out
-
-
-def _fibers(f: GroupMap) -> list[list[int]]:
-    buckets: list[list[int]] = [[] for _ in range(f.target.order)]
-    for x, y in enumerate(f.images):
-        buckets[y].append(x)
-    return buckets
 
 
 def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
@@ -199,16 +210,13 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
     """
     if theta.group != f.source:
         raise CarrierError("subset does not live on the map's source group")
-    nq = len(theta.q_labels)
-    rows = []
-    for bucket in _fibers(f):
-        if bucket:
-            rows.append(
-                tuple(max(theta.grades[x][k] for x in bucket) for k in range(nq))
-            )
-        else:
-            rows.append((ZERO,) * nq)
-    return QFuzzySubset(f.target, theta.q_labels, tuple(rows))
+    grades = theta.grades
+    empty = (ZERO,) * len(theta.q_labels)
+    rows = tuple(
+        tuple(map(greatest, zip(*[grades[x] for x in bucket]))) if bucket else empty
+        for bucket in f.fibers
+    )
+    return QFuzzySubset(f.target, theta.q_labels, rows)
 
 
 def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
@@ -247,17 +255,18 @@ def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[in
     """{ x : restricted grade(x, q) >= c }."""
     c = validate_grade(c)
     k = phi.base.q_index(q_label)
-    return frozenset(
-        x for x in range(phi.group.order) if phi.restricted[x][k] >= c
-    )
+    # the cut goes over the column's common denominator with the grades
+    *column, cut = scaled_column([row[k] for row in phi.restricted] + [c])
+    return frozenset([x for x, g in enumerate(column) if g >= cut])
 
 
 def achieved_grades(phi: AlphaQFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
     """Distinct restricted grades for one q label, plus 0, ascending."""
     k = phi.base.q_index(q_label)
-    values = {phi.restricted[x][k] for x in range(phi.group.order)}
-    values.add(ZERO)
-    return tuple(sorted(values))
+    column = [row[k] for row in phi.restricted]
+    by_value = dict(zip(scaled_column(column), column))
+    by_value.setdefault(0, ZERO)
+    return tuple([by_value[v] for v in sorted(by_value)])
 
 
 # --- fuzzy-set file format ---------------------------------------------------

@@ -19,7 +19,7 @@ Maps between groups are total image arrays tagged homomorphism
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 
 class GroupError(ValueError):
@@ -47,6 +47,16 @@ class FileFormatError(ValueError):
         super().__init__(message + suffix)
         self.line = line
         self.field = field
+
+
+# Largest group order built or loaded.  Validating a table is O(n^3) and the
+# checks scan O(n^2) pairs per q label, so larger orders are refused up front.
+MAX_ORDER = 256
+
+
+def _check_order(n: int, what: str) -> None:
+    if n > MAX_ORDER:
+        raise GroupError(f"{what} has order {n}, above the cap of {MAX_ORDER}")
 
 
 HOMOMORPHISM = "homomorphism"
@@ -96,6 +106,7 @@ def build_group(name: str, element_names, table) -> FiniteGroup:
     n = len(elements)
     if n == 0:
         raise GroupError("a group needs at least one element")
+    _check_order(n, f"group {name}")
     if len(set(elements)) != n:
         raise GroupError("element names must be distinct")
     for label in elements:
@@ -226,6 +237,7 @@ def _quaternion8() -> FiniteGroup:
 @lru_cache(maxsize=None)
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; pair ordering is row-major in (g, h)."""
+    _check_order(g.order * h.order, f"{g.name}x{h.name}")
     elements = []
     for a in g.elements:
         for b in h.elements:
@@ -256,6 +268,7 @@ def standard_group(spec: str) -> FiniteGroup:
             n = int(text[len("cyclic"):])
         except ValueError:
             raise GroupError(f"bad cyclic group spec {spec!r}") from None
+        _check_order(n, f"cyclic{n}")
         return _cyclic(n)
     builders = {
         "klein4": _klein4,
@@ -277,6 +290,15 @@ class GroupMap:
 
     def apply(self, i: int) -> int:
         return self.images[i]
+
+    @cached_property
+    def fibers(self) -> tuple[tuple[int, ...], ...]:
+        """Per target element y, the source elements x with f(x) = y,
+        ascending; computed once per map."""
+        buckets: list[list[int]] = [[] for _ in range(self.target.order)]
+        for x, y in enumerate(self.images):
+            buckets[y].append(x)
+        return tuple(map(tuple, buckets))
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -410,16 +432,7 @@ def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
     return frozenset(current)
 
 
-def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
-    """Subgroup test for a crisp element set plus closure/abelian/cyclic data.
-
-    Abelian/cyclic verdicts refer to the closure; cyclicity is decided by
-    testing each closure element as a generator (smallest index wins).
-    """
-    subset = frozenset(subset)
-    for x in subset:
-        if not 0 <= x < group.order:
-            raise GroupError(f"subset element {x} is not an element index")
+def _analyze(group: FiniteGroup, subset: frozenset[int]) -> CrispSubsetAnalysis:
     closed = closure_of(group, subset)
     is_subgroup = bool(subset) and closed == subset
     is_abelian = all(
@@ -444,6 +457,31 @@ def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
         is_cyclic=generator is not None,
         generator=generator,
     )
+
+
+@lru_cache(maxsize=None)
+def _lattice_analyses(group: FiniteGroup) -> dict[frozenset[int], CrispSubsetAnalysis]:
+    # Level sets and kernels of fuzzy subgroups are subgroups (Das 1981), so
+    # most subsets analysed are lattice members: analyse each one once.
+    return {sub: _analyze(group, sub) for sub in all_subgroups(group)}
+
+
+def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
+    """Subgroup test for a crisp element set plus closure/abelian/cyclic data.
+
+    Abelian/cyclic verdicts refer to the closure; cyclicity is decided by
+    testing each closure element as a generator (smallest index wins).
+    A subgroup's analysis is read from a table built once per group by the
+    same procedure.
+    """
+    subset = frozenset(subset)
+    known = _lattice_analyses(group).get(subset)
+    if known is not None:
+        return known
+    for x in subset:
+        if not 0 <= x < group.order:
+            raise GroupError(f"subset element {x} is not an element index")
+    return _analyze(group, subset)
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,16 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .grades import ZERO, ONE, format_grade, parse_grade, validate_grade
+from .grades import (
+    ZERO,
+    ONE,
+    format_grade,
+    grade_le,
+    parse_grade,
+    scaled_columns,
+    sorted_grades,
+    validate_grade,
+)
 from .groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
@@ -71,7 +80,7 @@ class ReproductionError(AssertionError):
 
 
 DEFAULT_POOL = tuple(
-    sorted(
+    sorted_grades(
         Fraction(p)
         for p in ("0", "9/100", "1/10", "1/5", "3/10", "2/5", "1/2", "1")
     )
@@ -123,7 +132,7 @@ class AuditConfig:
             raise ValueError("q_size must be >= 1")
         if not self.grade_pool:
             raise ValueError("grade pool must be nonempty")
-        pool = tuple(sorted(validate_grade(g) for g in self.grade_pool))
+        pool = tuple(sorted_grades(validate_grade(g) for g in self.grade_pool))
         object.__setattr__(self, "grade_pool", pool)
         object.__setattr__(self, "catalog", tuple(self.catalog))
         object.__setattr__(self, "map_pairs", tuple(tuple(p) for p in self.map_pairs))
@@ -222,7 +231,7 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     rows = [[ZERO] * len(q_labels) for _ in range(group.order)]
     for k in range(len(q_labels)):
         chain = _random_chain(group, rng)
-        grades = sorted(rng.choice(pool) for _ in chain)
+        grades = sorted_grades([rng.choice(pool) for _ in chain])
         for x in range(group.order):
             depth = max(i for i, layer in enumerate(chain) if x in layer)
             rows[x][k] = grades[depth]
@@ -299,26 +308,27 @@ def _restricted_subset(phi: AlphaQFuzzySubset) -> QFuzzySubset:
 
 def _check_p3_3(theta, sigma, alpha):
     lhs = alpha_restrict(intersection(theta, sigma), alpha).restricted
-    a = alpha_restrict(theta, alpha).restricted
-    b = alpha_restrict(sigma, alpha).restricted
-    rhs = tuple(
-        tuple(min(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
-    )
+    rhs = intersection(
+        _restricted_subset(alpha_restrict(theta, alpha)),
+        _restricted_subset(alpha_restrict(sigma, alpha)),
+    ).grades
     if lhs == rhs:
         return True, None
     return False, "restriction of intersection differs from intersection of restrictions"
 
 
-def _check_p3_4(f, theta, sigma, alpha):
-    lhs = alpha_restrict(image_subset(f, theta), alpha).restricted
-    rhs = image_subset(f, _restricted_subset(alpha_restrict(theta, alpha))).grades
-    if lhs != rhs:
-        return False, "image does not commute with restriction"
-    lhs = alpha_restrict(preimage_subset(f, sigma), alpha).restricted
-    rhs = preimage_subset(f, _restricted_subset(alpha_restrict(sigma, alpha))).grades
-    if lhs != rhs:
-        return False, "preimage does not commute with restriction"
-    return True, None
+def _check_p3_4(maps, theta, sigma, alpha):
+    # returns (ok, violation detail, first failing map)
+    restricted_theta = _restricted_subset(alpha_restrict(theta, alpha))
+    restricted_sigma = _restricted_subset(alpha_restrict(sigma, alpha))
+    for f in maps:
+        lhs = alpha_restrict(image_subset(f, theta), alpha).restricted
+        if lhs != image_subset(f, restricted_theta).grades:
+            return False, "image does not commute with restriction", f
+        lhs = alpha_restrict(preimage_subset(f, sigma), alpha).restricted
+        if lhs != preimage_subset(f, restricted_sigma).grades:
+            return False, "preimage does not commute with restriction", f
+    return True, None, None
 
 
 def _check_p4_2(theta, alpha):
@@ -328,13 +338,11 @@ def _check_p4_2(theta, alpha):
 
 def _check_p4_6(phi):
     group = phi.group
-    for k, q in enumerate(phi.q_labels):
-        column = [phi.restricted[x][k] for x in range(group.order)]
-        if column[group.identity] != max(column):
+    for q, column in zip(phi.q_labels, scaled_columns(phi.restricted)):
+        top = column[group.identity]
+        if top != max(column):
             return False, f"identity grade is not maximal for q label {q}"
-        kernel = frozenset(
-            x for x in range(group.order) if column[x] == column[group.identity]
-        )
+        kernel = frozenset([x for x, g in enumerate(column) if g == top])
         if not analyze_subset(group, kernel).is_subgroup:
             return False, f"kernel set at q label {q} is not a crisp subgroup"
     return True, None
@@ -342,18 +350,19 @@ def _check_p4_6(phi):
 
 def _check_p4_7(phi):
     group = phi.group
-    e = group.identity
-    for k, q in enumerate(phi.q_labels):
-        column = [phi.restricted[x][k] for x in range(group.order)]
-        for x in range(group.order):
-            for y in range(group.order):
-                if column[group.mul(x, group.inv(y))] == column[e]:
-                    if column[x] != column[y]:
-                        return False, (
-                            f"lhs = {format_grade(column[x])} != "
-                            f"rhs = {format_grade(column[y])} at "
-                            f"({group.label(x)}, {group.label(y)}, {q})"
-                        )
+    table, inverses = group.table, group.inverses
+    n = group.order
+    for k, (q, column) in enumerate(zip(phi.q_labels, scaled_columns(phi.restricted))):
+        top = column[group.identity]
+        for x in range(n):
+            row, gx = table[x], column[x]
+            for y in range(n):
+                if column[row[inverses[y]]] == top and gx != column[y]:
+                    return False, (
+                        f"lhs = {format_grade(phi.restricted[x][k])} != "
+                        f"rhs = {format_grade(phi.restricted[y][k])} at "
+                        f"({group.label(x)}, {group.label(y)}, {q})"
+                    )
     return True, None
 
 
@@ -389,7 +398,7 @@ def _dominates_identity(phi, psi):
     e = phi.group.identity
     for k in range(len(phi.q_labels)):
         top = phi.restricted[e][k]
-        if any(row[k] > top for row in psi.restricted):
+        if not all(grade_le(row[k], top) for row in psi.restricted):
             return False
     return True
 
@@ -476,10 +485,8 @@ def _check_p5_11(f, psi):
     inclusion = True
     for q in psi.q_labels:
         for cut in achieved_grades(psi, q):
-            pulled = {
-                x for x in range(f.source.order)
-                if f.apply(x) in level_set(psi, cut, q)
-            }
+            upper = level_set(psi, cut, q)
+            pulled = {x for x in range(f.source.order) if f.apply(x) in upper}
             if not pulled <= level_set(theta, cut, q):
                 inclusion = False
     return inclusion, _all_cyclic(theta)
@@ -611,17 +618,16 @@ def _audit_p3_4(config):
         theta = random_qfuzzy(left, q_labels, rng, config.grade_pool)
         sigma = random_qfuzzy(right, q_labels, rng, config.grade_pool)
         alpha = _random_alpha(rng, config)
-        for f in maps:
-            ok, detail = _check_p3_4(f, theta, sigma, alpha)
-            if not ok:
-                return False, {
-                    "map": _map_payload(f),
-                    "theta": _subset_payload(theta),
-                    "sigma": _subset_payload(sigma),
-                    "alpha": format_grade(alpha),
-                    "violation": detail,
-                }
-        return True, None
+        ok, detail, f = _check_p3_4(maps, theta, sigma, alpha)
+        if ok:
+            return True, None
+        return False, {
+            "map": _map_payload(f),
+            "theta": _subset_payload(theta),
+            "sigma": _subset_payload(sigma),
+            "alpha": format_grade(alpha),
+            "violation": detail,
+        }
 
     def notes(tally, maps):
         return f"quantified over {len(maps)} enumerated maps per trial"
@@ -863,7 +869,7 @@ def _audit_p5_4(config):
 
 def _positive_at_identity(phi):
     e = phi.group.identity
-    return all(g > 0 for g in phi.restricted[e])
+    return all(g.numerator > 0 for g in phi.restricted[e])
 
 
 def _audit_p5_7(config):
@@ -1139,7 +1145,7 @@ def replay_failure(record: dict) -> bool:
     if claim == "P3.3":
         ok, _ = _check_p3_3(theta(), sigma(), alpha)
     elif claim == "P3.4":
-        ok, _ = _check_p3_4(fmap(), theta(), sigma(), alpha)
+        ok = _check_p3_4((fmap(),), theta(), sigma(), alpha)[0]
     elif claim == "P4.2":
         ok, _ = _check_p4_2(theta(), alpha)
     elif claim == "P4.6":
@@ -1345,7 +1351,7 @@ def _two_level_candidates(group, pool):
     for sub in all_subgroups(group):
         for hi in pool:
             for lo in pool:
-                if lo < hi:
+                if not grade_le(hi, lo):
                     column = tuple(
                         hi if x in sub else lo for x in range(group.order)
                     )

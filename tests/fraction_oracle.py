@@ -9,8 +9,36 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from qfuzzy.checks import CheckReport, ConditionResult, _first_failure, _violation
-from qfuzzy.grades import ONE, ZERO, GradeError
+from qfuzzy.checks import (
+    CheckReport,
+    ConditionResult,
+    KernelSet,
+    _first_failure,
+    _violation,
+)
+from qfuzzy.fuzzy import (
+    AlphaQFuzzySubset,
+    CarrierError,
+    InvariantError,
+    QFuzzySubset,
+    _require_shared_carrier,
+    alpha_restrict,
+    preimage_subset,
+)
+from qfuzzy.grades import ONE, ZERO, GradeError, format_grade
+from qfuzzy.groups import (
+    CrispSubsetAnalysis,
+    FiniteGroup,
+    GroupError,
+    GroupMap,
+    closure_of,
+    direct_product,
+)
+from qfuzzy.lab import _all_cyclic, _preimage_alpha, _restricted_subset
+
+
+def intersection(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
+    return combine("intersection", a, b)
 
 
 def validate_grade(value: Fraction) -> Fraction:
@@ -135,3 +163,255 @@ def check_anti_subgroup(phi) -> CheckReport:
         witness=witness,
         detail=detail,
     )
+
+
+# --- fuzzy subsets, kernels and crisp subsets ----------------------------------
+#
+# The versions below compare grades as `Fraction`s (or, for `analyze_subset`,
+# close every subset anew), exactly as `qfuzzy.fuzzy`, `qfuzzy.checks`,
+# `qfuzzy.groups` and the `qfuzzy.lab` claim checks did before they moved to
+# integer comparisons and the cached lattice table.
+
+
+def combine(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
+    """Pointwise max (union) or min (intersection)."""
+    _require_shared_carrier(a, b)
+    if kind == "union":
+        op = max
+    elif kind == "intersection":
+        op = min
+    else:
+        raise ValueError(f"unknown combine kind {kind!r}")
+    rows = tuple(
+        tuple(op(x, y) for x, y in zip(ra, rb))
+        for ra, rb in zip(a.grades, b.grades)
+    )
+    return QFuzzySubset(a.group, a.q_labels, rows)
+
+
+def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
+    """Pointwise subset (<=) or equality test.
+
+    Returns (verdict, witness) where the witness is the first failing
+    (element label, q label) pair in element-major order, or None.
+    """
+    _require_shared_carrier(a, b)
+    if kind not in ("subset", "equal"):
+        raise ValueError(f"unknown compare kind {kind!r}")
+    for x in range(a.group.order):
+        for k, q in enumerate(a.q_labels):
+            ga, gb = a.grades[x][k], b.grades[x][k]
+            ok = ga <= gb if kind == "subset" else ga == gb
+            if not ok:
+                return False, (a.group.label(x), q)
+    return True, None
+
+
+def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
+    """Grade at ((x, x'), q) = min(phi(x, q), psi(x', q)) over the direct product.
+
+    Both factors must share q labels and the same alpha; min commutes with the
+    restriction, so the result's base is the pointwise min of the bases.
+    """
+    if phi.q_labels != psi.q_labels:
+        raise CarrierError("product factors have different q labels")
+    if phi.alpha != psi.alpha:
+        raise CarrierError(
+            f"product factors have different alphas: "
+            f"{format_grade(phi.alpha)} vs {format_grade(psi.alpha)}"
+        )
+    prod_group = direct_product(phi.group, psi.group)
+    nq = len(phi.q_labels)
+    base_rows = []
+    for rx in phi.base.grades:
+        for ry in psi.base.grades:
+            base_rows.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
+    base = QFuzzySubset(prod_group, phi.q_labels, tuple(base_rows))
+    out = alpha_restrict(base, phi.alpha)
+    # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
+    direct = []
+    for rx in phi.restricted:
+        for ry in psi.restricted:
+            direct.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
+    if out.restricted != tuple(direct):
+        raise InvariantError(
+            "product: restricting the base differs from the direct product"
+        )
+    return out
+
+
+def _fibers(f: GroupMap) -> list[list[int]]:
+    buckets: list[list[int]] = [[] for _ in range(f.target.order)]
+    for x, y in enumerate(f.images):
+        buckets[y].append(x)
+    return buckets
+
+
+def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
+    """Pointwise sup over fibers; an empty fiber yields grade 0.
+
+    Zero is the only choice keeping the image monotone while staying inside
+    [0, 1]; it is isolated here.
+    """
+    if theta.group != f.source:
+        raise CarrierError("subset does not live on the map's source group")
+    nq = len(theta.q_labels)
+    rows = []
+    for bucket in _fibers(f):
+        if bucket:
+            rows.append(
+                tuple(max(theta.grades[x][k] for x in bucket) for k in range(nq))
+            )
+        else:
+            rows.append((ZERO,) * nq)
+    return QFuzzySubset(f.target, theta.q_labels, tuple(rows))
+
+
+def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
+    """{ x : restricted grade(x, q) >= c }."""
+    c = validate_grade(c)
+    k = phi.base.q_index(q_label)
+    return frozenset(
+        x for x in range(phi.group.order) if phi.restricted[x][k] >= c
+    )
+
+
+def achieved_grades(phi: AlphaQFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
+    """Distinct restricted grades for one q label, plus 0, ascending."""
+    k = phi.base.q_index(q_label)
+    values = {phi.restricted[x][k] for x in range(phi.group.order)}
+    values.add(ZERO)
+    return tuple(sorted(values))
+
+
+def kernel_set(phi: AlphaQFuzzySubset) -> KernelSet:
+    """Per q label: elements whose grade equals the identity's grade."""
+    group = phi.group
+    e = group.identity
+    per_label = {}
+    for k, q in enumerate(phi.q_labels):
+        ge = phi.restricted[e][k]
+        per_label[q] = frozenset(
+            x for x in range(group.order) if phi.restricted[x][k] == ge
+        )
+    return KernelSet(per_label)
+
+
+def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
+    """Subgroup test for a crisp element set plus closure/abelian/cyclic data.
+
+    Abelian/cyclic verdicts refer to the closure; cyclicity is decided by
+    testing each closure element as a generator (smallest index wins).
+    """
+    subset = frozenset(subset)
+    for x in subset:
+        if not 0 <= x < group.order:
+            raise GroupError(f"subset element {x} is not an element index")
+    closed = closure_of(group, subset)
+    is_subgroup = bool(subset) and closed == subset
+    is_abelian = all(
+        group.mul(x, y) == group.mul(y, x) for x in closed for y in closed
+    )
+    generator = None
+    for x in sorted(closed):
+        power = group.identity
+        generated = {power}
+        while True:
+            power = group.mul(power, x)
+            if power in generated:
+                break
+            generated.add(power)
+        if generated == closed:
+            generator = x
+            break
+    return CrispSubsetAnalysis(
+        is_subgroup=is_subgroup,
+        closure=closed,
+        is_abelian=is_abelian,
+        is_cyclic=generator is not None,
+        generator=generator,
+    )
+
+
+def _check_p3_3(theta, sigma, alpha):
+    lhs = alpha_restrict(intersection(theta, sigma), alpha).restricted
+    a = alpha_restrict(theta, alpha).restricted
+    b = alpha_restrict(sigma, alpha).restricted
+    rhs = tuple(
+        tuple(min(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
+    )
+    if lhs == rhs:
+        return True, None
+    return False, "restriction of intersection differs from intersection of restrictions"
+
+
+def _check_p3_4(f, theta, sigma, alpha):
+    lhs = alpha_restrict(image_subset(f, theta), alpha).restricted
+    rhs = image_subset(f, _restricted_subset(alpha_restrict(theta, alpha))).grades
+    if lhs != rhs:
+        return False, "image does not commute with restriction"
+    lhs = alpha_restrict(preimage_subset(f, sigma), alpha).restricted
+    rhs = preimage_subset(f, _restricted_subset(alpha_restrict(sigma, alpha))).grades
+    if lhs != rhs:
+        return False, "preimage does not commute with restriction"
+    return True, None
+
+
+def _check_p4_6(phi):
+    group = phi.group
+    for k, q in enumerate(phi.q_labels):
+        column = [phi.restricted[x][k] for x in range(group.order)]
+        if column[group.identity] != max(column):
+            return False, f"identity grade is not maximal for q label {q}"
+        kernel = frozenset(
+            x for x in range(group.order) if column[x] == column[group.identity]
+        )
+        if not analyze_subset(group, kernel).is_subgroup:
+            return False, f"kernel set at q label {q} is not a crisp subgroup"
+    return True, None
+
+
+def _check_p4_7(phi):
+    group = phi.group
+    e = group.identity
+    for k, q in enumerate(phi.q_labels):
+        column = [phi.restricted[x][k] for x in range(group.order)]
+        for x in range(group.order):
+            for y in range(group.order):
+                if column[group.mul(x, group.inv(y))] == column[e]:
+                    if column[x] != column[y]:
+                        return False, (
+                            f"lhs = {format_grade(column[x])} != "
+                            f"rhs = {format_grade(column[y])} at "
+                            f"({group.label(x)}, {group.label(y)}, {q})"
+                        )
+    return True, None
+
+
+def _dominates_identity(phi, psi):
+    # phi's identity grade bounds every grade of psi, per q label
+    e = phi.group.identity
+    for k in range(len(phi.q_labels)):
+        top = phi.restricted[e][k]
+        if any(row[k] > top for row in psi.restricted):
+            return False
+    return True
+
+
+def _positive_at_identity(phi):
+    e = phi.group.identity
+    return all(g > 0 for g in phi.restricted[e])
+
+
+def _check_p5_11(f, psi):
+    theta = _preimage_alpha(f, psi)
+    inclusion = True
+    for q in psi.q_labels:
+        for cut in achieved_grades(psi, q):
+            pulled = {
+                x for x in range(f.source.order)
+                if f.apply(x) in level_set(psi, cut, q)
+            }
+            if not pulled <= level_set(theta, cut, q):
+                inclusion = False
+    return inclusion, _all_cyclic(theta)

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,46 @@ def test_fuzzy_check_missing_file_exits_65():
     assert "input error" in result.stderr
 
 
+CYCLIC4_FUZZY = "group: {}\nq_labels: q\ngrades:\n0 q 1\n1 q 0\n2 q 1/2\n3 q 0\n"
+
+
+def test_fuzzy_check_group_reference_naming_a_directory(tmp_path):
+    # a directory beside the fuzzy file is not a group file: a catalog name
+    # still resolves, anything else is an input error, never a traceback
+    (tmp_path / "cyclic4").mkdir()
+    (tmp_path / "mygroup").mkdir()
+    catalog = tmp_path / "catalog.fuzzy"
+    catalog.write_text(CYCLIC4_FUZZY.format("cyclic4"))
+    result = run_cli("fuzzy", "check", str(catalog))
+    assert result.returncode == 0 and "verdict: true" in result.stdout
+    unknown = tmp_path / "unknown.fuzzy"
+    unknown.write_text(CYCLIC4_FUZZY.format("mygroup"))
+    result = run_cli("fuzzy", "check", str(unknown))
+    assert result.returncode == 65
+    assert "input error" in result.stderr and "Traceback" not in result.stderr
+
+
+def test_fuzzy_check_unreadable_or_unnamable_group_file_exits_65(tmp_path, monkeypatch, capsys):
+    from qfuzzy import cli
+
+    (tmp_path / "locked.group").write_text(run_cli("group", "show", "cyclic4").stdout)
+    path = tmp_path / "locked.fuzzy"
+    path.write_text(CYCLIC4_FUZZY.format("locked.group"))
+    read_text = Path.read_text
+
+    def locked(self, *args, **kwargs):
+        if self.name == "locked.group":
+            raise PermissionError(13, "Permission denied", str(self))
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", locked)
+    assert cli.main(["fuzzy", "check", str(path)]) == 65
+    assert "Permission denied" in capsys.readouterr().err
+    long_name = tmp_path / "long.fuzzy"
+    long_name.write_text(CYCLIC4_FUZZY.format("g" * 300))
+    assert cli.main(["fuzzy", "check", str(long_name)]) == 65
+
+
 def test_fuzzy_check_bad_grade_exits_65(tmp_path):
     path = tmp_path / "bad.fuzzy"
     path.write_text("group: cyclic2\nq_labels: q\ngrades:\n0 q 1.5\n1 q 0\n")
@@ -75,6 +116,30 @@ def test_check_single_claim():
     )
     assert result.returncode == 0
     assert "P4.2" in result.stdout
+
+
+def _limit_memory():
+    # were the cap missing, a child would build a table of 10^8 entries
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_order_cap_refuses_huge_groups_fast(tmp_path):
+    # without the cap, cyclic5000 builds a 25 M-entry table, then runs an
+    # O(n^3) associativity scan
+    def refused(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "qfuzzy", *args],
+            capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+        )
+
+    for spec in ("cyclic5000", "cyclic100xcyclic100"):
+        result = refused("check", "--prop", "P4.2", "--catalog", spec, "--trials", "1")
+        assert result.returncode == 64
+        assert "cap" in result.stderr
+    path = tmp_path / "huge.fuzzy"
+    path.write_text("group: cyclic5000\nq_labels: q\ngrades:\n0 q 1\n")
+    result = refused("fuzzy", "check", str(path))
+    assert result.returncode == 65 and "cap" in result.stderr
 
 
 def test_check_unknown_claim_is_usage_error():

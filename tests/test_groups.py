@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+from qfuzzy import groups
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
+    MAX_ORDER,
     HOMOMORPHISM,
     FeasibilityError,
     GroupError,
@@ -242,3 +244,42 @@ def test_group_file_errors_carry_location():
         parse_group_file("nonsense without colon")
     with pytest.raises(FileFormatError, match="table"):
         parse_group_file("name: g\nelements: e a\ntable:\ne a\na b\n")
+
+
+def test_order_cap_refuses_before_building(monkeypatch):
+    built = []
+    real_build, real_cyclic = groups.build_group, groups._cyclic
+
+    def recording(name, element_names, table):
+        built.append(name)
+        return real_build(name, element_names, table)
+
+    def small_cyclic(n):  # a tripwire: cyclic5000 would take minutes
+        assert n <= 128, f"cyclic{n} was built"
+        return real_cyclic(n)
+
+    monkeypatch.setattr(groups, "build_group", recording)
+    monkeypatch.setattr(groups, "_cyclic", small_cyclic)
+    with pytest.raises(GroupError, match="cap"):
+        standard_group("cyclic5000")
+    # products just above the cap, so that even a missing check stays cheap
+    with pytest.raises(GroupError, match="cap"):
+        standard_group("cyclic16xcyclic17")
+    with pytest.raises(GroupError, match="cap"):
+        direct_product(standard_group("cyclic12"), standard_group("cyclic24"))
+    assert not {"cyclic16xcyclic17", "cyclic12xcyclic24"} & set(built)
+
+
+def test_order_cap_applies_to_loaded_groups(monkeypatch):
+    # the cap is checked before the table is even looked at
+    elements = [f"g{i}" for i in range(MAX_ORDER + 1)]
+    with pytest.raises(GroupError, match="cap"):
+        build_group("huge", elements, [])
+    text = "name: huge\nelements: " + " ".join(elements) + "\ntable:\n"
+    text += " ".join(elements) + "\n"
+    with pytest.raises(GroupError, match="cap"):
+        parse_group_file(text)
+    monkeypatch.setattr(groups, "MAX_ORDER", 4)
+    assert build_group("klein", "eabc", KLEIN_TABLE).order == 4
+    with pytest.raises(GroupError, match="cap"):
+        build_group("c5", "01234", [[(i + j) % 5 for j in range(5)] for i in range(5)])
