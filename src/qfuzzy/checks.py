@@ -5,6 +5,10 @@ Conventions shared by every check:
 * quantification is always exhaustive over all (x, y, q) -- never sampled;
 * a false verdict carries the FIRST violation found when scanning q labels
   in order, then x, then y (row-major), so failures are reproducible;
+* the pairwise scans skip the pairs that cannot fail: a pair with an element
+  at its column's least grade has that grade as its bound, which every grade
+  meets (for the anti-closure, the greatest grade).  The remaining pairs keep
+  their row-major order, so the first violation is the same;
 * violation details render as "lhs = p/q < rhs = r/s at (x, y, q)".
 """
 from __future__ import annotations
@@ -56,13 +60,14 @@ def _violation(lhs: Fraction, rhs: Fraction, at: tuple) -> str:
 def _closure_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(xy, q) >= min(grade(x, q), grade(y, q))
     table = group.table
-    n = group.order
     for k, q in enumerate(q_labels):
         col = columns[k]
-        for x in range(n):
+        lo = min(col)  # a pair with an element at lo is bounded by lo: it holds
+        live = [x for x, g in enumerate(col) if g > lo]
+        for x in live:
             gx = col[x]
             row = table[x]
-            for y in range(n):
+            for y in live:
                 gy = col[y]
                 if col[row[y]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)
@@ -76,13 +81,14 @@ def _closure_condition(group, q_labels, grades, columns) -> ConditionResult:
 def _anti_closure_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(xy, q) <= max(grade(x, q), grade(y, q))
     table = group.table
-    n = group.order
     for k, q in enumerate(q_labels):
         col = columns[k]
-        for x in range(n):
+        hi = max(col)  # a pair with an element at hi is bounded by hi: it holds
+        live = [x for x, g in enumerate(col) if g < hi]
+        for x in live:
             gx = col[x]
             row = table[x]
-            for y in range(n):
+            for y in live:
                 gy = col[y]
                 if col[row[y]] > (gx if gx >= gy else gy):
                     at = (group.label(x), group.label(y), q)
@@ -111,13 +117,14 @@ def _quotient_condition(group, q_labels, grades, columns) -> ConditionResult:
     # grade(x y^-1, q) >= min(grade(x, q), grade(y, q))
     table = group.table
     inverses = group.inverses
-    n = group.order
     for k, q in enumerate(q_labels):
         col = columns[k]
-        for x in range(n):
+        lo = min(col)
+        live = [x for x, g in enumerate(col) if g > lo]
+        for x in live:
             gx = col[x]
             row = table[x]
-            for y in range(n):
+            for y in live:
                 gy = col[y]
                 if col[row[inverses[y]]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)

@@ -129,7 +129,11 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_group_show(args) -> int:
-    if Path(args.spec).exists():
+    try:
+        is_path = Path(args.spec).exists()
+    except OSError:  # e.g. a name too long to look up: not a file
+        is_path = False
+    if is_path:
         group = parse_group_file(_read_file(args.spec))  # data errors exit 65
     else:
         try:

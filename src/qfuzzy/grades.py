@@ -94,31 +94,3 @@ def format_grade(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
-
-
-def _decimal_form(value: Fraction) -> str | None:
-    # Exact terminating decimal exists iff the denominator is 2^a * 5^b.
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return None
-    digits = max(twos, fives)
-    if digits == 0:
-        return str(value.numerator)
-    scaled = value.numerator * 10**digits // value.denominator
-    text = f"{scaled:0{digits + 1}d}"
-    return f"{text[:-digits]}.{text[-digits:]}"
-
-
-def format_grade_text(value: Fraction) -> str:
-    """Human form: "0.4 (=2/5)" when a terminating decimal exists, else "p/q"."""
-    decimal = _decimal_form(value)
-    if decimal is None or value.denominator == 1:
-        return format_grade(value)
-    return f"{decimal} (={format_grade(value)})"

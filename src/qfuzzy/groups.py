@@ -399,11 +399,6 @@ def is_injective(m: GroupMap) -> bool:
     return len(set(m.images)) == m.source.order
 
 
-def fiber(m: GroupMap, y: int) -> frozenset[int]:
-    """{ x : f(x) = y }; may be empty."""
-    return frozenset(x for x in range(m.source.order) if m.images[x] == y)
-
-
 @dataclass(frozen=True)
 class CrispSubsetAnalysis:
     is_subgroup: bool

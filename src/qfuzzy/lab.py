@@ -209,11 +209,18 @@ def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
     return make_qfuzzy(group, q_labels, rows)
 
 
-def _random_chain(group, rng, max_depth=3):
+@lru_cache(maxsize=None)
+def _proper_subgroups(group) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+    # per subgroup, its proper subgroups in `all_subgroups` order
     subs = all_subgroups(group)
+    return {h: tuple(s for s in subs if s < h) for h in subs}
+
+
+def _random_chain(group, rng, max_depth=3):
+    below = _proper_subgroups(group)
     chain = [frozenset(range(group.order))]
     for _ in range(rng.randint(0, max_depth)):
-        nested = [s for s in subs if s < chain[-1]]
+        nested = below[chain[-1]]
         if not nested:
             break
         chain.append(rng.choice(nested))
@@ -232,9 +239,10 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     for k in range(len(q_labels)):
         chain = _random_chain(group, rng)
         grades = sorted_grades([rng.choice(pool) for _ in chain])
-        for x in range(group.order):
-            depth = max(i for i, layer in enumerate(chain) if x in layer)
-            rows[x][k] = grades[depth]
+        # the chain descends strictly, so each element's deepest layer writes last
+        for layer, grade in zip(chain, grades):
+            for x in layer:
+                rows[x][k] = grade
     theta = make_qfuzzy(group, q_labels, [tuple(r) for r in rows])
     report = check_qfuzzy_subgroup(theta)
     if not report.verdict:
@@ -315,6 +323,15 @@ def _check_p3_3(theta, sigma, alpha):
     if lhs == rhs:
         return True, None
     return False, "restriction of intersection differs from intersection of restrictions"
+
+
+def _first_per_image(maps) -> tuple[GroupMap, ...]:
+    # the first map of each image array, in order: for maps between the same
+    # groups, a later map with the same images fails P3.4 iff that one does
+    first = {}
+    for f in maps:
+        first.setdefault(f.images, f)
+    return tuple(first.values())
 
 
 def _check_p3_4(maps, theta, sigma, alpha):
@@ -610,15 +627,17 @@ def _audit_p3_3(config):
 
 def _audit_p3_4(config):
     def setup(left, right, config):
-        return _enumerated_maps(
+        maps = _enumerated_maps(
             left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), config.max_source
         )
+        return maps, _first_per_image(maps)
 
-    def trial(left, right, maps, q_labels, rng, config, tally):
+    def trial(left, right, context, q_labels, rng, config, tally):
         theta = random_qfuzzy(left, q_labels, rng, config.grade_pool)
         sigma = random_qfuzzy(right, q_labels, rng, config.grade_pool)
         alpha = _random_alpha(rng, config)
-        ok, detail, f = _check_p3_4(maps, theta, sigma, alpha)
+        _, distinct = context
+        ok, detail, f = _check_p3_4(distinct, theta, sigma, alpha)
         if ok:
             return True, None
         return False, {
@@ -629,7 +648,8 @@ def _audit_p3_4(config):
             "violation": detail,
         }
 
-    def notes(tally, maps):
+    def notes(tally, context):
+        maps, _ = context
         return f"quantified over {len(maps)} enumerated maps per trial"
 
     return _run_pair_claim("P3.4", config, config.map_pairs, setup, trial, notes)

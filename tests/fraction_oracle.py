@@ -1,9 +1,10 @@
 """Reference implementations the integer kernels are checked against.
 
-The four scans below compare grades as `Fraction`s, exactly as the checks
-did before they moved to scaled integers; `check_*` compose them the way
-`qfuzzy.checks` does, and `validate_grade` is the all-`Fraction` grade
-validation.  Only the tests use this module.
+The four scans below compare grades as `Fraction`s over every pair, exactly
+as the checks did before they moved to scaled integers and skipped the pairs
+that cannot fail; `check_*` compose them the way `qfuzzy.checks` does, and
+`validate_grade` is the all-`Fraction` grade validation.  Only the tests use
+this module.
 """
 from __future__ import annotations
 
@@ -23,18 +24,25 @@ from qfuzzy.fuzzy import (
     QFuzzySubset,
     _require_shared_carrier,
     alpha_restrict,
+    make_qfuzzy,
     preimage_subset,
 )
-from qfuzzy.grades import ONE, ZERO, GradeError, format_grade
+from qfuzzy.grades import ONE, ZERO, GradeError, format_grade, sorted_grades
 from qfuzzy.groups import (
     CrispSubsetAnalysis,
     FiniteGroup,
     GroupError,
     GroupMap,
+    all_subgroups,
     closure_of,
     direct_product,
 )
-from qfuzzy.lab import _all_cyclic, _preimage_alpha, _restricted_subset
+from qfuzzy.lab import (
+    GeneratorSoundnessError,
+    _all_cyclic,
+    _preimage_alpha,
+    _restricted_subset,
+)
 
 
 def intersection(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
@@ -415,3 +423,44 @@ def _check_p5_11(f, psi):
             if not pulled <= level_set(theta, cut, q):
                 inclusion = False
     return inclusion, _all_cyclic(theta)
+
+
+# --- the subgroup generator -----------------------------------------------------
+#
+# `qfuzzy.lab`'s generator as it was before it read proper subgroups from a
+# per-group table and wrote grades layer by layer.
+
+
+def _random_chain(group, rng, max_depth=3):
+    subs = all_subgroups(group)
+    chain = [frozenset(range(group.order))]
+    for _ in range(rng.randint(0, max_depth)):
+        nested = [s for s in subs if s < chain[-1]]
+        if not nested:
+            break
+        chain.append(rng.choice(nested))
+    return chain
+
+
+def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
+    """Genuine Q-fuzzy subgroup from a random descending subgroup chain.
+
+    Per q label: pick a chain G = H0 > H1 > ... > Hk and a weakly increasing
+    grade sequence; the grade of x is the grade of the deepest layer
+    containing x.  The output is re-checked and generation aborts if the
+    postcondition ever fails.
+    """
+    rows = [[ZERO] * len(q_labels) for _ in range(group.order)]
+    for k in range(len(q_labels)):
+        chain = _random_chain(group, rng)
+        grades = sorted_grades([rng.choice(pool) for _ in chain])
+        for x in range(group.order):
+            depth = max(i for i, layer in enumerate(chain) if x in layer)
+            rows[x][k] = grades[depth]
+    theta = make_qfuzzy(group, q_labels, [tuple(r) for r in rows])
+    report = check_qfuzzy_subgroup(theta)
+    if not report.verdict:
+        raise GeneratorSoundnessError(
+            f"generated table on {group.name} is not a subgroup: {report.detail}"
+        )
+    return theta

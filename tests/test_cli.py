@@ -30,6 +30,13 @@ def test_group_show_unknown_spec_is_usage_error():
     assert result.returncode == 64
 
 
+def test_group_show_name_too_long_for_a_path_is_usage_error():
+    result = run_cli("group", "show", "g" * 300)  # ENAMETOOLONG on lookup
+    assert result.returncode == 64
+    assert "Traceback" not in result.stderr
+    assert "usage error" in result.stderr
+
+
 def test_group_show_file_round_trip(tmp_path):
     text = run_cli("group", "show", "symmetric3").stdout
     path = tmp_path / "s3.group"

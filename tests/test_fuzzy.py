@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qfuzzy import fuzzy
-from qfuzzy.grades import GradeError, format_grade, format_grade_text, parse_grade
+from qfuzzy.grades import GradeError, format_grade, parse_grade
 from qfuzzy.groups import HOMOMORPHISM, enumerate_maps, make_map, standard_group
 from qfuzzy.fuzzy import (
     AlphaQFuzzySubset,
@@ -51,10 +51,6 @@ def test_parse_grade_exact():
 def test_grade_rendering():
     assert format_grade(F(2, 5)) == "2/5"
     assert format_grade(F(0)) == "0"
-    assert format_grade_text(F(2, 5)) == "0.4 (=2/5)"
-    assert format_grade_text(F(9, 100)) == "0.09 (=9/100)"
-    assert format_grade_text(F(1, 3)) == "1/3"
-    assert format_grade_text(F(1)) == "1"
 
 
 def test_make_qfuzzy_validation():

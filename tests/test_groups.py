@@ -17,7 +17,6 @@ from qfuzzy.groups import (
     compose_with_inversion,
     direct_product,
     enumerate_maps,
-    fiber,
     format_group_file,
     make_map,
     parse_group_file,
@@ -192,10 +191,9 @@ def test_fibers():
     g = standard_group("klein4")
     c2 = standard_group("cyclic2")
     ident = make_map(g, g, range(4), HOMOMORPHISM)
-    assert fiber(ident, 2) == frozenset({2})
+    assert ident.fibers == ((0,), (1,), (2,), (3,))
     trivial = make_map(g, c2, [0, 0, 0, 0], HOMOMORPHISM)
-    assert fiber(trivial, 0) == frozenset({0, 1, 2, 3})
-    assert fiber(trivial, 1) == frozenset()
+    assert trivial.fibers == ((0, 1, 2, 3), ())  # the fiber of 1 is empty
 
 
 def test_analyze_subset_identity_only():

@@ -1,6 +1,7 @@
 """The integer kernels against the `Fraction` reference in `fraction_oracle`."""
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -38,7 +39,7 @@ from qfuzzy.groups import (
     analyze_subset,
     standard_group,
 )
-from qfuzzy.lab import DEFAULT_CATALOG, random_qfuzzy_subgroup
+from qfuzzy.lab import DEFAULT_CATALOG, DEFAULT_POOL, random_qfuzzy_subgroup
 
 F = Fraction
 # mixed denominators, so each column is scaled by a different common one
@@ -85,6 +86,80 @@ def test_alpha_check_matches_fraction_oracle(theta, alpha):
 def test_anti_check_matches_fraction_oracle(theta, alpha):
     phi = alpha_restrict(theta, alpha)
     assert check_anti_subgroup(phi) == oracle.check_anti_subgroup(phi)
+
+
+# --- the trimmed pairwise scans -------------------------------------------------
+#
+# The closure and quotient scans visit only elements above their column's
+# least grade, the anti-closure scan only those below its greatest.
+
+ASCENDING = sorted(set(POOL))
+
+
+@st.composite
+def extreme_tables(draw):
+    """Columns whose least (or greatest) grade is held by one element, by
+    several, or by every element, with the other grades strictly above (or
+    below) it."""
+    group = standard_group(draw(st.sampled_from(GROUPS)))
+    n = group.order
+    q_labels = tuple(f"q{i}" for i in range(draw(st.integers(1, 2))))
+    columns = []
+    for _ in q_labels:
+        i = draw(st.integers(0, len(ASCENDING) - 2))
+        if draw(st.booleans()):  # the least grade is the extreme one
+            extreme, rest = ASCENDING[i], ASCENDING[i + 1:]
+        else:
+            extreme, rest = ASCENDING[i + 1], ASCENDING[: i + 1]
+        holders = draw(st.sampled_from(("one", "many", "all")))
+        if holders == "all":
+            held = set(range(n))
+        elif holders == "one":
+            held = {draw(st.integers(0, n - 1))}
+        else:
+            held = set(
+                draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n - 1, unique=True))
+            )
+        columns.append(
+            [extreme if x in held else draw(st.sampled_from(rest)) for x in range(n)]
+        )
+    return make_qfuzzy(group, q_labels, list(zip(*columns)))
+
+
+@given(extreme_tables(), grades)
+def test_trimmed_scans_match_full_fraction_scans(theta, alpha):
+    assert check_qfuzzy_subgroup(theta) == oracle.check_qfuzzy_subgroup(theta)
+    for a in (F(1), alpha):
+        phi = alpha_restrict(theta, a)
+        assert check_alpha_subgroup(phi) == oracle.check_alpha_subgroup(phi)
+        assert check_anti_subgroup(phi) == oracle.check_anti_subgroup(phi)
+
+
+def test_first_violation_after_skipped_rows_matches_full_scan():
+    # rows 0 and 1 hold the column's least grade (for the anti-closure, its
+    # greatest), so the trimmed scans skip them; the witnesses they report
+    # must still be the full scans' first ones
+    rng = random.Random(20)
+    found = {"closure": 0, "quotient": 0, "anti_closure": 0}
+    for name in GROUPS:
+        group = standard_group(name)
+        rest = group.order - 2
+        for _ in range(40):
+            low = [F(9, 100)] * 2 + [rng.choice(ASCENDING[2:]) for _ in range(rest)]
+            high = [F(1)] * 2 + [rng.choice(ASCENDING[:-1]) for _ in range(rest)]
+            phi = alpha_restrict(make_qfuzzy(group, ("q",), [(g,) for g in low]), F(1))
+            psi = alpha_restrict(make_qfuzzy(group, ("q",), [(g,) for g in high]), F(1))
+            got, expected = check_alpha_subgroup(phi), oracle.check_alpha_subgroup(phi)
+            assert got == expected
+            conditions = {k: got.conditions[k] for k in ("closure", "quotient")}
+            got, expected = check_anti_subgroup(psi), oracle.check_anti_subgroup(psi)
+            assert got == expected
+            conditions["anti_closure"] = got.conditions["anti_closure"]
+            for cond, result in conditions.items():
+                if not result.ok:
+                    assert group.index(result.witness[0]) > 1
+                    found[cond] += 1
+    assert all(found.values()), found
 
 
 @given(tables(), grades)
@@ -258,3 +333,63 @@ def test_analyze_subset_rejects_bad_elements_as_before():
         with pytest.raises(GroupError) as expected:
             oracle.analyze_subset(group, subset)
         assert str(raised.value) == str(expected.value)
+
+
+# --- the subgroup generator and P3.4's map list -----------------------------------
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_generator_builds_the_tables_of_its_old_body(name):
+    group = standard_group(name)
+    for q_size in (1, 2, 3):
+        q_labels = tuple(f"q{i}" for i in range(q_size))
+        for seed in range(25):
+            rng, old_rng = random.Random(seed), random.Random(seed)
+            got = random_qfuzzy_subgroup(group, q_labels, rng, DEFAULT_POOL)
+            expected = oracle.random_qfuzzy_subgroup(group, q_labels, old_rng, DEFAULT_POOL)
+            assert got == expected
+            assert rng.getstate() == old_rng.getstate()  # the same draws
+
+
+@given(st.sampled_from(MAP_PAIRS), st.booleans(), grades, st.data())
+def test_check_p3_4_over_first_maps_per_image_matches_every_map(pair, broken, alpha, data):
+    left, right = (standard_group(g) for g in pair)
+    maps = lab._enumerated_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)
+    distinct = lab._first_per_image(maps)
+    assert len({f.images for f in maps}) == len(distinct)
+    theta = data.draw(tables(left, ("q",)))
+    sigma = data.draw(tables(right, ("q",)))
+    target = data.draw(st.sampled_from(maps)).images
+
+    def image(f, subset):
+        # when broken, the image ignores the restriction on every map with
+        # the target's images, so P3.4 fails on those maps and no others
+        out = image_subset(f, subset)
+        if not broken or f.images != target:
+            return out
+        rows = [list(row) for row in out.grades]
+        rows[0][0] = F(1)
+        return make_qfuzzy(out.group, out.q_labels, rows)
+
+    with mock.patch.object(lab, "image_subset", image), \
+            mock.patch.object(oracle, "image_subset", image):
+        got = lab._check_p3_4(distinct, theta, sigma, alpha)
+        expected = (True, None, None)
+        for f in maps:  # the oracle's per-map check, in enumeration order
+            ok, detail = oracle._check_p3_4(f, theta, sigma, alpha)
+            if not ok:
+                expected = (ok, detail, f)
+                break
+    assert got[:2] == expected[:2] and got[2] is expected[2]
+
+
+def test_map_pairs_repeat_image_arrays():
+    # hom and anti-hom enumerations share arrays, so P3.4 checks fewer maps
+    left, right = standard_group("dihedral4"), standard_group("dihedral4")
+    maps = lab._enumerated_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)
+    distinct = lab._first_per_image(maps)
+    assert (len(maps), len(distinct)) == (72, 44)
+    for f in distinct:  # each is the first map with its images
+        assert next(g for g in maps if g.images == f.images) is f
+    positions = [maps.index(f) for f in distinct]
+    assert positions == sorted(positions)
