@@ -226,31 +226,6 @@ def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
     return QFuzzySubset(f.source, sigma.q_labels, rows)
 
 
-def image(f: GroupMap, phi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
-    """Image with the restriction pushed through: f(min(theta, a)) = min(f(theta), a).
-
-    The identity holds because sup and min commute over finite fibers; it is
-    re-checked here against the direct fiber computation.
-    """
-    out = alpha_restrict(image_subset(f, phi.base), phi.alpha)
-    direct = image_subset(f, QFuzzySubset(phi.group, phi.q_labels, phi.restricted))
-    if out.restricted != direct.grades:
-        raise InvariantError(
-            "image: restricting the image differs from the direct image"
-        )
-    return out
-
-
-def preimage(f: GroupMap, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
-    out = alpha_restrict(preimage_subset(f, psi.base), psi.alpha)
-    direct = preimage_subset(f, QFuzzySubset(psi.group, psi.q_labels, psi.restricted))
-    if out.restricted != direct.grades:
-        raise InvariantError(
-            "preimage: restricting the preimage differs from the direct preimage"
-        )
-    return out
-
-
 def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : restricted grade(x, q) >= c }."""
     c = validate_grade(c)

@@ -6,8 +6,11 @@ subgroups built from subgroup chains, enumerated group maps), the claimed
 conclusion is evaluated exactly, and failures are materialized as fully
 replayable counterexample records.
 
-Claim ids follow the source catalog (P3.3, P4.2, ..., R4.9).  Claims whose
-statement and proof disagree, or whose literal reading is known to be
+Claim ids follow the source catalog (P3.3, P4.2, ..., R4.9).  Each claim is
+one `Claim` record in `CLAIMS`: its carriers, how its inputs are drawn, the
+hypothesis a trial must meet, and the conclusion checked; one runner audits
+every record and `replay_failure` re-evaluates any record's failures.  Claims
+whose statement and proof disagree, or whose literal reading is known to be
 interpretation-dependent, carry status "recorded": the audit reports the
 empirical finding instead of asserting an expected verdict.
 
@@ -20,7 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -37,11 +41,9 @@ from .grades import (
 from .groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
-    FiniteGroup,
     GroupMap,
     all_subgroups,
     analyze_subset,
-    direct_product,
     enumerate_maps,
     is_injective,
     is_surjective,
@@ -158,44 +160,6 @@ class AuditReport:
     notes: str = ""
 
 
-EXPECTED_VERIFIED = frozenset(
-    {
-        "P3.3", "P3.4", "P4.2", "P4.6", "P4.7", "P4.8", "P4.12", "P4.14",
-        "P4.15", "P5.2", "P5.4", "P5.7", "P5.8", "R4.3", "R4.9",
-    }
-)
-
-RECORDED_CLAIMS = frozenset({"P4.11", "R4.16", "P5.10", "P5.11"})
-
-CLAIM_ORDER = (
-    "P3.3", "P3.4", "P4.2", "P4.6", "P4.7", "P4.8", "P4.11", "P4.12",
-    "P4.14", "P4.15", "R4.16", "P5.2", "P5.4", "P5.7", "P5.8", "P5.10",
-    "P5.11", "R4.3", "R4.9",
-)
-
-CLAIM_DESCRIPTIONS = {
-    "P3.3": "restriction distributes over intersection",
-    "P3.4": "image and preimage commute with restriction",
-    "P4.2": "every Q-fuzzy subgroup stays one after restriction",
-    "P4.6": "identity dominance and kernel-set subgroup",
-    "P4.7": "quotient at identity grade forces equal grades",
-    "P4.8": "intersection of restricted subgroups is one",
-    "P4.11": "complement of a restricted subgroup (statement vs proof)",
-    "P4.12": "two-condition form equals quotient form",
-    "P4.14": "product of restricted subgroups is one on the product group",
-    "P4.15": "dominant-identity factor recovers the other factor",
-    "R4.16": "product subgroup forces one factor to be a subgroup (weak form)",
-    "P5.2": "anti-homomorphic image preserves restricted subgroups",
-    "P5.4": "anti-homomorphic preimage preserves restricted subgroups",
-    "P5.7": "anti-homomorphic image preserves abelian kernels",
-    "P5.8": "anti-homomorphic preimage preserves abelian kernels",
-    "P5.10": "anti-homomorphic image preserves cyclic level structure",
-    "P5.11": "anti-homomorphic preimage preserves cyclic level structure",
-    "R4.3": "restricted subgroups need not be plain Q-fuzzy subgroups",
-    "R4.9": "unions of restricted subgroups need not be subgroups",
-}
-
-
 # --- generators --------------------------------------------------------------
 
 
@@ -252,62 +216,65 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     return theta
 
 
-# --- serialization of materialized inputs ------------------------------------
+# --- the payload codec --------------------------------------------------------
+#
+# Failure records and search witnesses hold each input under its name:
+# theta and sigma are Q-fuzzy subsets, phi and psi their restrictions, alpha
+# a grade and map a group map.  Groups are stored by catalog name.
+
+_RESTRICTED = ("phi", "psi")
 
 
-def _subset_payload(theta: QFuzzySubset) -> dict:
-    grades = {}
-    for x, elem in enumerate(theta.group.elements):
-        grades[elem] = {
-            q: format_grade(theta.grades[x][k]) for k, q in enumerate(theta.q_labels)
+def _encode(name: str, value):
+    if name == "alpha":
+        return format_grade(value)
+    if name == "map":
+        return {
+            "kind": value.kind,
+            "source": value.source.name,
+            "target": value.target.name,
+            "images": [value.target.label(y) for y in value.images],
         }
-    return {
-        "group": theta.group.name,
-        "q_labels": list(theta.q_labels),
-        "grades": grades,
+    subset = value.base if name in _RESTRICTED else value
+    payload = {
+        "group": subset.group.name,
+        "q_labels": list(subset.q_labels),
+        "grades": {
+            elem: {q: format_grade(g) for q, g in zip(subset.q_labels, row)}
+            for elem, row in zip(subset.group.elements, subset.grades)
+        },
     }
+    if name in _RESTRICTED:
+        payload["alpha"] = format_grade(value.alpha)
+    return payload
 
 
-def _subset_from_payload(payload: dict) -> QFuzzySubset:
+def _decode(name: str, payload):
+    if name == "alpha":
+        return parse_grade(payload)
+    if name == "map":
+        source = standard_group(payload["source"])
+        target = standard_group(payload["target"])
+        images = [target.index(label) for label in payload["images"]]
+        return make_map(source, target, images, payload["kind"])
     group = standard_group(payload["group"])
     q_labels = tuple(payload["q_labels"])
     rows = [
         [parse_grade(payload["grades"][elem][q]) for q in q_labels]
         for elem in group.elements
     ]
-    return make_qfuzzy(group, q_labels, rows)
-
-
-def _alpha_payload(phi: AlphaQFuzzySubset) -> dict:
-    payload = _subset_payload(phi.base)
-    payload["alpha"] = format_grade(phi.alpha)
-    return payload
-
-
-def _alpha_from_payload(payload: dict) -> AlphaQFuzzySubset:
-    return alpha_restrict(_subset_from_payload(payload), parse_grade(payload["alpha"]))
-
-
-def _map_payload(m: GroupMap) -> dict:
-    return {
-        "kind": m.kind,
-        "source": m.source.name,
-        "target": m.target.name,
-        "images": [m.target.label(y) for y in m.images],
-    }
-
-
-def _map_from_payload(payload: dict) -> GroupMap:
-    source = standard_group(payload["source"])
-    target = standard_group(payload["target"])
-    images = [target.index(label) for label in payload["images"]]
-    return make_map(source, target, images, payload["kind"])
+    subset = make_qfuzzy(group, q_labels, rows)
+    if name in _RESTRICTED:
+        return alpha_restrict(subset, parse_grade(payload["alpha"]))
+    return subset
 
 
 # --- per-claim conclusion checks ---------------------------------------------
 #
-# Each takes fully materialized inputs and returns (ok, violation detail);
-# the audit loop and replay_failure share these.
+# Each takes a claim's named inputs, after the map when the claim quantifies
+# over maps, and returns (ok, violation detail) unless its claim's `verdict`
+# reads another shape; the audit runner and replay_failure share these, and
+# the hypotheses are the predicates next to them.
 
 
 def _restricted_subset(phi: AlphaQFuzzySubset) -> QFuzzySubset:
@@ -420,28 +387,30 @@ def _dominates_identity(phi, psi):
     return True
 
 
+def _positive_at_identity(phi):
+    e = phi.group.identity
+    return all(g.numerator > 0 for g in phi.restricted[e])
+
+
+def _product_is_subgroup(phi, psi):
+    return check_alpha_subgroup(product(phi, psi)).verdict
+
+
 def _check_p4_15(phi, psi):
-    if not check_alpha_subgroup(product(phi, psi)).verdict:
-        return None, None  # hypothesis fails; trial filtered
-    applied = False
+    # assumes the product is a subgroup and one factor's identity dominates
     if _dominates_identity(phi, psi):
-        applied = True
         report = check_alpha_subgroup(psi)
         if not report.verdict:
             return False, f"case (i) conclusion fails: {report.detail}"
     if _dominates_identity(psi, phi):
-        applied = True
         report = check_alpha_subgroup(phi)
         if not report.verdict:
             return False, f"case (ii) conclusion fails: {report.detail}"
-    if not applied:
-        return None, None
     return True, None
 
 
 def _check_r4_16(phi, psi):
-    if not check_alpha_subgroup(product(phi, psi)).verdict:
-        return None, None
+    # assumes the product is a subgroup
     disjunction = (
         check_alpha_subgroup(phi).verdict or check_alpha_subgroup(psi).verdict
     )
@@ -509,82 +478,357 @@ def _check_p5_11(f, psi):
     return inclusion, _all_cyclic(theta)
 
 
-# --- audit runners ------------------------------------------------------------
+# --- the claim table -----------------------------------------------------------
 
 
-def _finish(prop_id, carrier, evaluated, passes, filtered, failures, notes=""):
-    if failures:
-        status = "refuted"
-    elif prop_id in RECORDED_CLAIMS:
-        status = "recorded"
-    else:
-        status = "verified-sampled"
-    return AuditReport(
-        prop_id=prop_id,
-        carrier=carrier,
-        trials=evaluated,
-        passes=passes,
-        filtered=filtered,
-        failures=failures,
-        status=status,
-        notes=notes,
+def _pass_fail(result):
+    # a conclusion's (ok, detail), with no finding
+    return result[0], result[1], None
+
+
+def _inclusion(violation):
+    # _check_p5_10/_check_p5_11 give (inclusion, cyclic): the level-set
+    # inclusion decides, and cyclicity is the finding
+    return lambda result: (result[0], violation, (result[1], None))
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the catalog, declared once.
+
+    A trial draws the named inputs on a carrier, is filtered when the
+    hypothesis fails on them, and otherwise evaluates the conclusion, once
+    per enumerated map when the claim has map kinds.  Both take the inputs
+    in the order of `inputs`, the conclusion after the map.  A record holds
+    none of the generators, `check_*`/`classify_*` functions or fuzzy
+    operations themselves: its callables look those up by their
+    module-global names when they run, so a wrapper installed on the module
+    sees every call.
+    """
+
+    description: str
+    status: str  # "verified": the audit expects no failure; "recorded": a finding
+    carriers: str  # the AuditConfig field audited over, or "search"
+    draws: str = ""  # generator of each subset: "table", "subgroup" or "mixed"
+    # theta (on the left group) and sigma (on the right) with alpha last, or
+    # phi and psi: the same subsets restricted at alpha
+    inputs: tuple[str, ...] = ()
+    map_kinds: tuple[str, ...] = ()  # maps from left to right, enumerated
+    hypothesis: Callable | None = None  # of the inputs
+    conclusion: Callable | None = None  # a _check_*, given the map first
+    verdict: Callable = _pass_fail  # conclusion result -> (ok, detail, finding)
+    per_image: bool = False  # the conclusion takes the first map per image array
+    criterion: Callable | None = None  # maps that decide; the others give findings
+    split: Callable | None = None  # maps whose findings are also counted apart
+    notes: Callable | None = None  # (tally, maps), or the witness of a search
+
+    def draw(self, left, right, q_labels, rng, pool) -> tuple:
+        """The trial's inputs, in the order of `inputs`: the subsets drawn in
+        that order, then alpha."""
+        make = {
+            "table": random_qfuzzy,
+            "subgroup": random_qfuzzy_subgroup,
+            "mixed": _mixed_subset,
+        }[self.draws]
+        subsets = [
+            make(right if name in ("sigma", "psi") else left, q_labels, rng, pool)
+            for name in self.inputs
+            if name != "alpha"
+        ]
+        alpha = rng.choice(pool)
+        if "alpha" in self.inputs:
+            return (*subsets, alpha)
+        return tuple([alpha_restrict(subset, alpha) for subset in subsets])
+
+
+def _mixed_subset(group, q_labels, rng, pool):
+    # half genuine subgroups, half unconstrained tables
+    if rng.random() < 0.5:
+        return random_qfuzzy_subgroup(group, q_labels, rng, pool)
+    return random_qfuzzy(group, q_labels, rng, pool)
+
+
+def _anti_maps_note(tally, maps):
+    return f"quantified over all {len(maps)} anti-homomorphisms per trial"
+
+
+def _p4_11_note(tally, maps):
+    text = (
+        f"proof's reversed inequalities audited as the pass criterion; "
+        f"literal min-form claim for the complement held in "
+        f"{tally.held}/{tally.held + tally.missed} trials"
     )
+    if tally.first_miss:
+        text += f"; first literal counterexample: {tally.first_miss['violation']}"
+    return text
 
 
-def _run_group_claim(prop_id, config, trial_fn, note_fn=None):
-    reports = []
-    q_labels = config.q_labels()
-    for gname in config.catalog:
-        group = standard_group(gname)
-        passes = filtered = 0
-        failures = []
-        tally: dict = {}
-        for t in range(config.trials):
-            rng = _trial_rng(config, prop_id, gname, t)
-            outcome, record = trial_fn(group, q_labels, rng, config, tally)
-            if outcome is None:
-                filtered += 1
-            elif outcome:
-                passes += 1
-            else:
-                failures.append(
-                    {"claim": prop_id, "carrier": gname, "trial": t, **record}
-                )
-        notes = note_fn(tally) if note_fn else ""
-        reports.append(
-            _finish(prop_id, gname, passes + len(failures), passes, filtered,
-                    failures, notes)
+def _p5_8_note(tally, maps):
+    injective = sum(1 for f in maps if is_injective(f))
+    text = (
+        f"pass criterion quantified over the {injective} injective of "
+        f"{len(maps)} anti-homomorphisms"
+    )
+    if tally.held + tally.missed:
+        text += (
+            f"; literal claim over non-injective maps held in "
+            f"{tally.held}/{tally.held + tally.missed} evaluations"
         )
-    return reports
+    if tally.first_miss:
+        text += f"; first counterexample: {tally.first_miss['violation']}"
+    return text
 
 
-def _run_pair_claim(prop_id, config, pairs, setup_fn, trial_fn, note_fn=None):
+def _cyclic_note(maps_split):
+    def note(tally, maps):
+        return (
+            "pass criterion is the level-set inclusion; cyclicity conclusion "
+            f"held in {tally.held}/{tally.held + tally.missed} map evaluations "
+            f"overall and {tally.held_split}/{tally.held_split + tally.missed_split} "
+            f"over {maps_split} maps"
+        )
+
+    return note
+
+
+def _witness_note(witness):
+    return f"witness on {witness['theta']['group']} with alpha = {witness['alpha']}"
+
+
+CLAIMS = {
+    "P3.3": Claim(
+        "restriction distributes over intersection", "verified", "catalog",
+        draws="table", inputs=("theta", "sigma", "alpha"), conclusion=_check_p3_3,
+    ),
+    "P3.4": Claim(
+        "image and preimage commute with restriction", "verified", "map_pairs",
+        draws="table", inputs=("theta", "sigma", "alpha"),
+        map_kinds=(HOMOMORPHISM, ANTI_HOMOMORPHISM), conclusion=_check_p3_4,
+        per_image=True,
+        notes=lambda tally, maps: f"quantified over {len(maps)} enumerated maps per trial",
+    ),
+    "P4.2": Claim(
+        "every Q-fuzzy subgroup stays one after restriction", "verified", "catalog",
+        draws="subgroup", inputs=("theta", "alpha"), conclusion=_check_p4_2,
+    ),
+    "P4.6": Claim(
+        "identity dominance and kernel-set subgroup", "verified", "catalog",
+        draws="subgroup", inputs=("phi",), conclusion=_check_p4_6,
+    ),
+    "P4.7": Claim(
+        "quotient at identity grade forces equal grades", "verified", "catalog",
+        draws="subgroup", inputs=("phi",), conclusion=_check_p4_7,
+    ),
+    "P4.8": Claim(
+        "intersection of restricted subgroups is one", "verified", "catalog",
+        draws="subgroup", inputs=("theta", "sigma", "alpha"), conclusion=_check_p4_8,
+    ),
+    # the proof's reversed inequalities decide; the literal min-form claim
+    # for the complement is the finding
+    "P4.11": Claim(
+        "complement of a restricted subgroup (statement vs proof)", "recorded",
+        "catalog", draws="subgroup", inputs=("phi",), conclusion=_check_p4_11,
+        verdict=lambda result: (result[0], result[1], (result[2], result[3])),
+        notes=_p4_11_note,
+    ),
+    "P4.12": Claim(
+        "two-condition form equals quotient form", "verified", "catalog",
+        draws="mixed", inputs=("phi",), conclusion=_check_p4_12,
+    ),
+    "P4.14": Claim(
+        "product of restricted subgroups is one on the product group", "verified",
+        "product_pairs", draws="subgroup", inputs=("phi", "psi"),
+        conclusion=_check_p4_14,
+    ),
+    "P4.15": Claim(
+        "dominant-identity factor recovers the other factor", "verified",
+        "product_pairs", draws="mixed", inputs=("phi", "psi"),
+        hypothesis=lambda phi, psi: _product_is_subgroup(phi, psi) and (
+            _dominates_identity(phi, psi) or _dominates_identity(psi, phi)
+        ),
+        conclusion=_check_p4_15,
+    ),
+    "R4.16": Claim(
+        "product subgroup forces one factor to be a subgroup (weak form)",
+        "recorded", "product_pairs", draws="mixed", inputs=("phi", "psi"),
+        hypothesis=lambda phi, psi: _product_is_subgroup(phi, psi),
+        conclusion=_check_r4_16,
+        notes=lambda tally, maps: (
+            "interpretation-dependent weak disjunctive reading; held in "
+            f"{tally.passes}/{tally.passes + len(tally.failures)} applicable trials"
+        ),
+    ),
+    "P5.2": Claim(
+        "anti-homomorphic image preserves restricted subgroups", "verified",
+        "map_pairs", draws="subgroup", inputs=("phi",),
+        map_kinds=(ANTI_HOMOMORPHISM,), conclusion=_check_p5_2, notes=_anti_maps_note,
+    ),
+    "P5.4": Claim(
+        "anti-homomorphic preimage preserves restricted subgroups", "verified",
+        "map_pairs", draws="subgroup", inputs=("psi",),
+        map_kinds=(ANTI_HOMOMORPHISM,), conclusion=_check_p5_4, notes=_anti_maps_note,
+    ),
+    # a nonzero identity grade is assumed too: the all-zero subset makes the
+    # image kernel swallow elements outside the map's range
+    "P5.7": Claim(
+        "anti-homomorphic image preserves abelian kernels", "verified",
+        "map_pairs", draws="subgroup", inputs=("phi",),
+        map_kinds=(ANTI_HOMOMORPHISM,),
+        hypothesis=lambda phi: _positive_at_identity(phi) and _all_abelian(phi),
+        conclusion=_check_p5_7, notes=_anti_maps_note,
+    ),
+    # the cancellation step of the claim's argument needs injectivity, so
+    # the injective maps decide and the rest give the literal finding
+    "P5.8": Claim(
+        "anti-homomorphic preimage preserves abelian kernels", "verified",
+        "map_pairs", draws="subgroup", inputs=("psi",),
+        map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_abelian(psi),
+        conclusion=_check_p5_8, criterion=lambda f: is_injective(f),
+        notes=_p5_8_note,
+    ),
+    "P5.10": Claim(
+        "anti-homomorphic image preserves cyclic level structure", "recorded",
+        "map_pairs", draws="subgroup", inputs=("phi",),
+        map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda phi: _all_cyclic(phi),
+        conclusion=_check_p5_10,
+        verdict=_inclusion("pushed level set escapes the image level set"),
+        split=lambda f: is_surjective(f), notes=_cyclic_note("surjective"),
+    ),
+    "P5.11": Claim(
+        "anti-homomorphic preimage preserves cyclic level structure", "recorded",
+        "map_pairs", draws="subgroup", inputs=("psi",),
+        map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_cyclic(psi),
+        conclusion=_check_p5_11,
+        verdict=_inclusion("pulled level set escapes the preimage level set"),
+        split=lambda f: is_injective(f), notes=_cyclic_note("injective"),
+    ),
+    "R4.3": Claim(
+        "restricted subgroups need not be plain Q-fuzzy subgroups", "verified",
+        "search", notes=_witness_note,
+    ),
+    "R4.9": Claim(
+        "unions of restricted subgroups need not be subgroups", "verified", "search",
+        notes=lambda witness: (
+            f"{_witness_note(witness)}; union violation: {witness['violation']}"
+        ),
+    ),
+}
+
+CLAIM_ORDER = tuple(CLAIMS)
+EXPECTED_VERIFIED = frozenset(c for c in CLAIMS if CLAIMS[c].status == "verified")
+RECORDED_CLAIMS = frozenset(c for c in CLAIMS if CLAIMS[c].status == "recorded")
+
+
+# --- the runner -----------------------------------------------------------------
+
+
+@dataclass
+class _Tally:
+    """Outcomes of one claim's trials on one carrier, with the findings of
+    their evaluations, also counted apart over the claim's split maps."""
+
+    passes: int = 0
+    filtered: int = 0
+    failures: list = field(default_factory=list)
+    held: int = 0
+    missed: int = 0
+    held_split: int = 0
+    missed_split: int = 0
+    first_miss: dict | None = None  # record of the first finding with a violation
+
+    def find(self, held: bool, split: bool, record: dict | None):
+        if held:
+            self.held += 1
+            self.held_split += split
+        else:
+            self.missed += 1
+            self.missed_split += split
+            if self.first_miss is None:
+                self.first_miss = record
+
+
+def _record(claim: Claim, inputs: tuple, f, detail) -> dict:
+    # the materialized inputs of an evaluation, with its violation
+    record = {name: _encode(name, value) for name, value in zip(claim.inputs, inputs)}
+    if f is not None:
+        record["map"] = _encode("map", f)
+    record["violation"] = detail
+    return record
+
+
+def _judge(claim: Claim, inputs: tuple, maps, tally: _Tally):
+    """(ok, detail, failing map or None) of one trial whose hypothesis holds,
+    stopping at the first failing map; findings go into the tally."""
+    if claim.per_image:
+        return claim.conclusion(maps, *inputs)
+    for f in maps if claim.map_kinds else (None,):
+        result = claim.conclusion(*inputs) if f is None else claim.conclusion(f, *inputs)
+        ok, detail, finding = claim.verdict(result)
+        if claim.criterion is not None and not claim.criterion(f):
+            ok, finding = True, (ok, detail)
+        if finding is not None:
+            held, violation = finding
+            # a missed finding with a violation is materialized every time;
+            # the tally keeps the first
+            miss = None if held or violation is None else _record(claim, inputs, f, violation)
+            tally.find(held, claim.split is not None and claim.split(f), miss)
+        if not ok:
+            return False, detail, f
+    return True, None, None
+
+
+def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
+    claim = CLAIMS[prop_id]
+    if claim.carriers == "search":
+        witness = search_counterexample(prop_id, config)
+        found = witness is not None
+        failures = [] if found else [
+            {"claim": prop_id, "violation": "no witness found in the bounded search space"}
+        ]
+        status = "verified-exhaustive" if found else "refuted"
+        notes = claim.notes(witness) if found else ""
+        return [AuditReport(prop_id, "search", 1, int(found), 0, failures, status, notes)]
     reports = []
     q_labels = config.q_labels()
-    for left_name, right_name in pairs:
-        carrier = f"{left_name}->{right_name}"
-        left = standard_group(left_name)
-        right = standard_group(right_name)
-        context = setup_fn(left, right, config)
-        passes = filtered = 0
-        failures = []
-        tally: dict = {}
+    for item in getattr(config, claim.carriers):
+        if claim.carriers == "catalog":
+            carrier, names = item, (item, item)
+        else:
+            carrier, names = "->".join(item), item
+        left, right = standard_group(names[0]), standard_group(names[1])
+        maps = _enumerated_maps(left, right, claim.map_kinds, config.max_source)
+        evaluated = _first_per_image(maps) if claim.per_image else maps
+        tally = _Tally()
         for t in range(config.trials):
             rng = _trial_rng(config, prop_id, carrier, t)
-            outcome, record = trial_fn(left, right, context, q_labels, rng, config, tally)
-            if outcome is None:
-                filtered += 1
-            elif outcome:
-                passes += 1
+            inputs = claim.draw(left, right, q_labels, rng, config.grade_pool)
+            if claim.hypothesis is not None and not claim.hypothesis(*inputs):
+                tally.filtered += 1
+                continue
+            ok, detail, f = _judge(claim, inputs, evaluated, tally)
+            if ok:
+                tally.passes += 1
             else:
-                failures.append(
-                    {"claim": prop_id, "carrier": carrier, "trial": t, **record}
+                tally.failures.append(
+                    {"claim": prop_id, "carrier": carrier, "trial": t,
+                     **_record(claim, inputs, f, detail)}
                 )
-        notes = note_fn(tally, context) if note_fn else ""
-        reports.append(
-            _finish(prop_id, carrier, passes + len(failures), passes, filtered,
-                    failures, notes)
-        )
+        if tally.failures:
+            status = "refuted"
+        elif claim.status == "recorded":
+            status = "recorded"
+        else:
+            status = "verified-sampled"
+        reports.append(AuditReport(
+            prop_id=prop_id,
+            carrier=carrier,
+            trials=tally.passes + len(tally.failures),
+            passes=tally.passes,
+            filtered=tally.filtered,
+            failures=tally.failures,
+            status=status,
+            notes=claim.notes(tally, maps) if claim.notes else "",
+        ))
     return reports
 
 
@@ -594,529 +838,6 @@ def _enumerated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
     for kind in kinds:
         maps.extend(enumerate_maps(left, right, kind, max_source))
     return tuple(maps)
-
-
-def _random_alpha(rng, config):
-    return rng.choice(config.grade_pool)
-
-
-def _mixed_subset(group, q_labels, rng, config):
-    # half genuine subgroups, half unconstrained tables
-    if rng.random() < 0.5:
-        return random_qfuzzy_subgroup(group, q_labels, rng, config.grade_pool)
-    return random_qfuzzy(group, q_labels, rng, config.grade_pool)
-
-
-def _audit_p3_3(config):
-    def trial(group, q_labels, rng, config, tally):
-        theta = random_qfuzzy(group, q_labels, rng, config.grade_pool)
-        sigma = random_qfuzzy(group, q_labels, rng, config.grade_pool)
-        alpha = _random_alpha(rng, config)
-        ok, detail = _check_p3_3(theta, sigma, alpha)
-        if ok:
-            return True, None
-        return False, {
-            "theta": _subset_payload(theta),
-            "sigma": _subset_payload(sigma),
-            "alpha": format_grade(alpha),
-            "violation": detail,
-        }
-
-    return _run_group_claim("P3.3", config, trial)
-
-
-def _audit_p3_4(config):
-    def setup(left, right, config):
-        maps = _enumerated_maps(
-            left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), config.max_source
-        )
-        return maps, _first_per_image(maps)
-
-    def trial(left, right, context, q_labels, rng, config, tally):
-        theta = random_qfuzzy(left, q_labels, rng, config.grade_pool)
-        sigma = random_qfuzzy(right, q_labels, rng, config.grade_pool)
-        alpha = _random_alpha(rng, config)
-        _, distinct = context
-        ok, detail, f = _check_p3_4(distinct, theta, sigma, alpha)
-        if ok:
-            return True, None
-        return False, {
-            "map": _map_payload(f),
-            "theta": _subset_payload(theta),
-            "sigma": _subset_payload(sigma),
-            "alpha": format_grade(alpha),
-            "violation": detail,
-        }
-
-    def notes(tally, context):
-        maps, _ = context
-        return f"quantified over {len(maps)} enumerated maps per trial"
-
-    return _run_pair_claim("P3.4", config, config.map_pairs, setup, trial, notes)
-
-
-def _audit_p4_2(config):
-    def trial(group, q_labels, rng, config, tally):
-        theta = random_qfuzzy_subgroup(group, q_labels, rng, config.grade_pool)
-        alpha = _random_alpha(rng, config)
-        ok, detail = _check_p4_2(theta, alpha)
-        if ok:
-            return True, None
-        return False, {
-            "theta": _subset_payload(theta),
-            "alpha": format_grade(alpha),
-            "violation": detail,
-        }
-
-    return _run_group_claim("P4.2", config, trial)
-
-
-def _generated_alpha_subgroup(group, q_labels, rng, config):
-    theta = random_qfuzzy_subgroup(group, q_labels, rng, config.grade_pool)
-    return alpha_restrict(theta, _random_alpha(rng, config))
-
-
-def _simple_alpha_trial(prop_id, check):
-    def trial(group, q_labels, rng, config, tally):
-        phi = _generated_alpha_subgroup(group, q_labels, rng, config)
-        ok, detail = check(phi)
-        if ok:
-            return True, None
-        return False, {"phi": _alpha_payload(phi), "violation": detail}
-
-    return trial
-
-
-def _audit_p4_6(config):
-    return _run_group_claim("P4.6", config, _simple_alpha_trial("P4.6", _check_p4_6))
-
-
-def _audit_p4_7(config):
-    return _run_group_claim("P4.7", config, _simple_alpha_trial("P4.7", _check_p4_7))
-
-
-def _audit_p4_8(config):
-    def trial(group, q_labels, rng, config, tally):
-        theta = random_qfuzzy_subgroup(group, q_labels, rng, config.grade_pool)
-        sigma = random_qfuzzy_subgroup(group, q_labels, rng, config.grade_pool)
-        alpha = _random_alpha(rng, config)
-        ok, detail = _check_p4_8(theta, sigma, alpha)
-        if ok:
-            return True, None
-        return False, {
-            "theta": _subset_payload(theta),
-            "sigma": _subset_payload(sigma),
-            "alpha": format_grade(alpha),
-            "violation": detail,
-        }
-
-    return _run_group_claim("P4.8", config, trial)
-
-
-def _audit_p4_11(config):
-    def trial(group, q_labels, rng, config, tally):
-        phi = _generated_alpha_subgroup(group, q_labels, rng, config)
-        anti_ok, anti_detail, literal_ok, literal_detail = _check_p4_11(phi)
-        tally.setdefault("literal_true", 0)
-        tally.setdefault("literal_false", 0)
-        if literal_ok:
-            tally["literal_true"] += 1
-        else:
-            tally["literal_false"] += 1
-            tally.setdefault("first_literal_counterexample", {
-                "phi": _alpha_payload(phi),
-                "violation": literal_detail,
-            })
-        if anti_ok:
-            return True, None
-        return False, {"phi": _alpha_payload(phi), "violation": anti_detail}
-
-    def notes(tally):
-        true_n = tally.get("literal_true", 0)
-        false_n = tally.get("literal_false", 0)
-        text = (
-            f"proof's reversed inequalities audited as the pass criterion; "
-            f"literal min-form claim for the complement held in "
-            f"{true_n}/{true_n + false_n} trials"
-        )
-        first = tally.get("first_literal_counterexample")
-        if first:
-            text += f"; first literal counterexample: {first['violation']}"
-        return text
-
-    return _run_group_claim("P4.11", config, trial, notes)
-
-
-def _audit_p4_12(config):
-    def trial(group, q_labels, rng, config, tally):
-        base = _mixed_subset(group, q_labels, rng, config)
-        phi = alpha_restrict(base, _random_alpha(rng, config))
-        ok, detail = _check_p4_12(phi)
-        if ok:
-            return True, None
-        return False, {"phi": _alpha_payload(phi), "violation": detail}
-
-    return _run_group_claim("P4.12", config, trial)
-
-
-def _pair_subgroup_inputs(left, right, q_labels, rng, config):
-    theta = random_qfuzzy_subgroup(left, q_labels, rng, config.grade_pool)
-    sigma = random_qfuzzy_subgroup(right, q_labels, rng, config.grade_pool)
-    alpha = _random_alpha(rng, config)
-    return alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)
-
-
-def _audit_p4_14(config):
-    def setup(left, right, config):
-        return None
-
-    def trial(left, right, context, q_labels, rng, config, tally):
-        phi, psi = _pair_subgroup_inputs(left, right, q_labels, rng, config)
-        ok, detail = _check_p4_14(phi, psi)
-        if ok:
-            return True, None
-        return False, {
-            "phi": _alpha_payload(phi),
-            "psi": _alpha_payload(psi),
-            "violation": detail,
-        }
-
-    return _run_pair_claim("P4.14", config, config.product_pairs, setup, trial)
-
-
-def _mixed_pair_inputs(left, right, q_labels, rng, config):
-    theta = _mixed_subset(left, q_labels, rng, config)
-    sigma = _mixed_subset(right, q_labels, rng, config)
-    alpha = _random_alpha(rng, config)
-    return alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)
-
-
-def _audit_p4_15(config):
-    def setup(left, right, config):
-        return None
-
-    def trial(left, right, context, q_labels, rng, config, tally):
-        phi, psi = _mixed_pair_inputs(left, right, q_labels, rng, config)
-        ok, detail = _check_p4_15(phi, psi)
-        if ok is None:
-            return None, None
-        if ok:
-            return True, None
-        return False, {
-            "phi": _alpha_payload(phi),
-            "psi": _alpha_payload(psi),
-            "violation": detail,
-        }
-
-    return _run_pair_claim("P4.15", config, config.product_pairs, setup, trial)
-
-
-def _audit_r4_16(config):
-    def setup(left, right, config):
-        return None
-
-    def trial(left, right, context, q_labels, rng, config, tally):
-        phi, psi = _mixed_pair_inputs(left, right, q_labels, rng, config)
-        ok, detail = _check_r4_16(phi, psi)
-        if ok is None:
-            return None, None
-        tally.setdefault("held", 0)
-        tally.setdefault("violated", 0)
-        if ok:
-            tally["held"] += 1
-            return True, None
-        tally["violated"] += 1
-        return False, {
-            "phi": _alpha_payload(phi),
-            "psi": _alpha_payload(psi),
-            "violation": detail,
-        }
-
-    def notes(tally, context):
-        held = tally.get("held", 0)
-        violated = tally.get("violated", 0)
-        return (
-            "interpretation-dependent weak disjunctive reading; held in "
-            f"{held}/{held + violated} applicable trials"
-        )
-
-    return _run_pair_claim("R4.16", config, config.product_pairs, setup, trial, notes)
-
-
-def _anti_maps_setup(left, right, config):
-    return _enumerated_maps(left, right, (ANTI_HOMOMORPHISM,), config.max_source)
-
-
-def _audit_p5_2(config):
-    def trial(left, right, maps, q_labels, rng, config, tally):
-        theta = random_qfuzzy_subgroup(left, q_labels, rng, config.grade_pool)
-        phi = alpha_restrict(theta, _random_alpha(rng, config))
-        for f in maps:
-            ok, detail = _check_p5_2(f, phi)
-            if not ok:
-                return False, {
-                    "map": _map_payload(f),
-                    "phi": _alpha_payload(phi),
-                    "violation": detail,
-                }
-        return True, None
-
-    def notes(tally, maps):
-        return f"quantified over all {len(maps)} anti-homomorphisms per trial"
-
-    return _run_pair_claim("P5.2", config, config.map_pairs, _anti_maps_setup, trial, notes)
-
-
-def _audit_p5_4(config):
-    def trial(left, right, maps, q_labels, rng, config, tally):
-        sigma = random_qfuzzy_subgroup(right, q_labels, rng, config.grade_pool)
-        psi = alpha_restrict(sigma, _random_alpha(rng, config))
-        for f in maps:
-            ok, detail = _check_p5_4(f, psi)
-            if not ok:
-                return False, {
-                    "map": _map_payload(f),
-                    "psi": _alpha_payload(psi),
-                    "violation": detail,
-                }
-        return True, None
-
-    def notes(tally, maps):
-        return f"quantified over all {len(maps)} anti-homomorphisms per trial"
-
-    return _run_pair_claim("P5.4", config, config.map_pairs, _anti_maps_setup, trial, notes)
-
-
-def _positive_at_identity(phi):
-    e = phi.group.identity
-    return all(g.numerator > 0 for g in phi.restricted[e])
-
-
-def _audit_p5_7(config):
-    # Hypothesis filters: the input must itself have an abelian kernel and a
-    # nonzero identity grade (the all-zero degenerate subset makes the image
-    # kernel swallow elements outside the map's range).
-    def trial(left, right, maps, q_labels, rng, config, tally):
-        theta = random_qfuzzy_subgroup(left, q_labels, rng, config.grade_pool)
-        phi = alpha_restrict(theta, _random_alpha(rng, config))
-        if not _positive_at_identity(phi) or not _all_abelian(phi):
-            return None, None
-        for f in maps:
-            ok, detail = _check_p5_7(f, phi)
-            if not ok:
-                return False, {
-                    "map": _map_payload(f),
-                    "phi": _alpha_payload(phi),
-                    "violation": detail,
-                }
-        return True, None
-
-    def notes(tally, maps):
-        return f"quantified over all {len(maps)} anti-homomorphisms per trial"
-
-    return _run_pair_claim("P5.7", config, config.map_pairs, _anti_maps_setup, trial, notes)
-
-
-def _audit_p5_8(config):
-    # The cancellation step of the claim's argument needs injectivity; the
-    # pass criterion quantifies over injective anti-homomorphisms, and the
-    # literal outcome over the remaining maps is tallied as a finding.
-    def trial(left, right, maps, q_labels, rng, config, tally):
-        sigma = random_qfuzzy_subgroup(right, q_labels, rng, config.grade_pool)
-        psi = alpha_restrict(sigma, _random_alpha(rng, config))
-        if not _all_abelian(psi):
-            return None, None
-        tally.setdefault("literal_true", 0)
-        tally.setdefault("literal_false", 0)
-        for f in maps:
-            ok, detail = _check_p5_8(f, psi)
-            if is_injective(f):
-                if not ok:
-                    return False, {
-                        "map": _map_payload(f),
-                        "psi": _alpha_payload(psi),
-                        "violation": detail,
-                    }
-            else:
-                if ok:
-                    tally["literal_true"] += 1
-                else:
-                    tally["literal_false"] += 1
-                    tally.setdefault("first_literal_counterexample", {
-                        "map": _map_payload(f),
-                        "psi": _alpha_payload(psi),
-                        "violation": detail,
-                    })
-        return True, None
-
-    def notes(tally, maps):
-        injective = sum(1 for f in maps if is_injective(f))
-        text = (
-            f"pass criterion quantified over the {injective} injective of "
-            f"{len(maps)} anti-homomorphisms"
-        )
-        true_n = tally.get("literal_true", 0)
-        false_n = tally.get("literal_false", 0)
-        if true_n + false_n:
-            text += (
-                f"; literal claim over non-injective maps held in "
-                f"{true_n}/{true_n + false_n} evaluations"
-            )
-        first = tally.get("first_literal_counterexample")
-        if first:
-            text += f"; first counterexample: {first['violation']}"
-        return text
-
-    return _run_pair_claim("P5.8", config, config.map_pairs, _anti_maps_setup, trial, notes)
-
-
-def _audit_p5_10(config):
-    def trial(left, right, maps, q_labels, rng, config, tally):
-        theta = random_qfuzzy_subgroup(left, q_labels, rng, config.grade_pool)
-        phi = alpha_restrict(theta, _random_alpha(rng, config))
-        if not _all_cyclic(phi):
-            return None, None
-        tally.setdefault("cyclic_true", 0)
-        tally.setdefault("cyclic_false", 0)
-        tally.setdefault("cyclic_true_surjective", 0)
-        tally.setdefault("cyclic_false_surjective", 0)
-        for f in maps:
-            inclusion_ok, cyclic_ok = _check_p5_10(f, phi)
-            if not inclusion_ok:
-                return False, {
-                    "map": _map_payload(f),
-                    "phi": _alpha_payload(phi),
-                    "violation": "pushed level set escapes the image level set",
-                }
-            key = "cyclic_true" if cyclic_ok else "cyclic_false"
-            tally[key] += 1
-            if is_surjective(f):
-                tally[key + "_surjective"] += 1
-        return True, None
-
-    def notes(tally, maps):
-        t, f_ = tally.get("cyclic_true", 0), tally.get("cyclic_false", 0)
-        ts = tally.get("cyclic_true_surjective", 0)
-        fs = tally.get("cyclic_false_surjective", 0)
-        return (
-            "pass criterion is the level-set inclusion; cyclicity conclusion "
-            f"held in {t}/{t + f_} map evaluations overall and "
-            f"{ts}/{ts + fs} over surjective maps"
-        )
-
-    return _run_pair_claim("P5.10", config, config.map_pairs, _anti_maps_setup, trial, notes)
-
-
-def _audit_p5_11(config):
-    def trial(left, right, maps, q_labels, rng, config, tally):
-        sigma = random_qfuzzy_subgroup(right, q_labels, rng, config.grade_pool)
-        psi = alpha_restrict(sigma, _random_alpha(rng, config))
-        if not _all_cyclic(psi):
-            return None, None
-        tally.setdefault("cyclic_true", 0)
-        tally.setdefault("cyclic_false", 0)
-        tally.setdefault("cyclic_true_injective", 0)
-        tally.setdefault("cyclic_false_injective", 0)
-        for f in maps:
-            inclusion_ok, cyclic_ok = _check_p5_11(f, psi)
-            if not inclusion_ok:
-                return False, {
-                    "map": _map_payload(f),
-                    "psi": _alpha_payload(psi),
-                    "violation": "pulled level set escapes the preimage level set",
-                }
-            key = "cyclic_true" if cyclic_ok else "cyclic_false"
-            tally[key] += 1
-            if is_injective(f):
-                tally[key + "_injective"] += 1
-        return True, None
-
-    def notes(tally, maps):
-        t, f_ = tally.get("cyclic_true", 0), tally.get("cyclic_false", 0)
-        ti = tally.get("cyclic_true_injective", 0)
-        fi = tally.get("cyclic_false_injective", 0)
-        return (
-            "pass criterion is the level-set inclusion; cyclicity conclusion "
-            f"held in {t}/{t + f_} map evaluations overall and "
-            f"{ti}/{ti + fi} over injective maps"
-        )
-
-    return _run_pair_claim("P5.11", config, config.map_pairs, _anti_maps_setup, trial, notes)
-
-
-def _audit_r4_3(config):
-    witness = search_counterexample("R4.3", config)
-    found = witness is not None
-    failures = [] if found else [
-        {"claim": "R4.3", "violation": "no witness found in the bounded search space"}
-    ]
-    notes = ""
-    if found:
-        notes = (
-            f"witness on {witness['theta']['group']} with alpha = "
-            f"{witness['alpha']}"
-        )
-    return [
-        AuditReport(
-            prop_id="R4.3",
-            carrier="search",
-            trials=1,
-            passes=1 if found else 0,
-            filtered=0,
-            failures=failures,
-            status="verified-exhaustive" if found else "refuted",
-            notes=notes,
-        )
-    ]
-
-
-def _audit_r4_9(config):
-    witness = search_counterexample("R4.9", config)
-    found = witness is not None
-    failures = [] if found else [
-        {"claim": "R4.9", "violation": "no witness found in the bounded search space"}
-    ]
-    notes = ""
-    if found:
-        notes = (
-            f"witness on {witness['theta']['group']} with alpha = "
-            f"{witness['alpha']}; union violation: {witness['violation']}"
-        )
-    return [
-        AuditReport(
-            prop_id="R4.9",
-            carrier="search",
-            trials=1,
-            passes=1 if found else 0,
-            filtered=0,
-            failures=failures,
-            status="verified-exhaustive" if found else "refuted",
-            notes=notes,
-        )
-    ]
-
-
-_AUDIT_RUNNERS = {
-    "P3.3": _audit_p3_3,
-    "P3.4": _audit_p3_4,
-    "P4.2": _audit_p4_2,
-    "P4.6": _audit_p4_6,
-    "P4.7": _audit_p4_7,
-    "P4.8": _audit_p4_8,
-    "P4.11": _audit_p4_11,
-    "P4.12": _audit_p4_12,
-    "P4.14": _audit_p4_14,
-    "P4.15": _audit_p4_15,
-    "R4.16": _audit_r4_16,
-    "P5.2": _audit_p5_2,
-    "P5.4": _audit_p5_4,
-    "P5.7": _audit_p5_7,
-    "P5.8": _audit_p5_8,
-    "P5.10": _audit_p5_10,
-    "P5.11": _audit_p5_11,
-    "R4.3": _audit_r4_3,
-    "R4.9": _audit_r4_9,
-}
 
 
 def audit(props, config: AuditConfig | None = None) -> list[AuditReport]:
@@ -1129,76 +850,28 @@ def audit(props, config: AuditConfig | None = None) -> list[AuditReport]:
     reports = []
     for prop_id in CLAIM_ORDER:
         if prop_id in props:
-            reports.extend(_AUDIT_RUNNERS[prop_id](config))
+            reports.extend(_audit_claim(prop_id, config))
     return reports
-
-
-def audit_failures_expected_verified(reports) -> list[AuditReport]:
-    return [r for r in reports if r.prop_id in EXPECTED_VERIFIED and r.failures]
 
 
 # --- replay -------------------------------------------------------------------
 
 
 def replay_failure(record: dict) -> bool:
-    """Re-evaluate a materialized failure record; True iff it still fails."""
-    claim = record["claim"]
-    if "no witness found" in record.get("violation", ""):
+    """Re-evaluate a materialized failure record: True iff the claim's
+    hypothesis holds on the record's inputs, its map is one the pass
+    criterion quantifies over, and the conclusion still fails.  A search
+    claim's record names no inputs and never replays as failing."""
+    claim = CLAIMS.get(record["claim"])
+    if claim is None:
+        raise ValueError(f"no replay rule for claim {record['claim']!r}")
+    if claim.carriers == "search":
         return False
-
-    def theta():
-        return _subset_from_payload(record["theta"])
-
-    def sigma():
-        return _subset_from_payload(record["sigma"])
-
-    def phi():
-        return _alpha_from_payload(record["phi"])
-
-    def psi():
-        return _alpha_from_payload(record["psi"])
-
-    def fmap():
-        return _map_from_payload(record["map"])
-
-    alpha = parse_grade(record["alpha"]) if "alpha" in record else None
-    if claim == "P3.3":
-        ok, _ = _check_p3_3(theta(), sigma(), alpha)
-    elif claim == "P3.4":
-        ok = _check_p3_4((fmap(),), theta(), sigma(), alpha)[0]
-    elif claim == "P4.2":
-        ok, _ = _check_p4_2(theta(), alpha)
-    elif claim == "P4.6":
-        ok, _ = _check_p4_6(phi())
-    elif claim == "P4.7":
-        ok, _ = _check_p4_7(phi())
-    elif claim == "P4.8":
-        ok, _ = _check_p4_8(theta(), sigma(), alpha)
-    elif claim == "P4.11":
-        ok = _check_p4_11(phi())[0]
-    elif claim == "P4.12":
-        ok, _ = _check_p4_12(phi())
-    elif claim == "P4.14":
-        ok, _ = _check_p4_14(phi(), psi())
-    elif claim == "P4.15":
-        ok, _ = _check_p4_15(phi(), psi())
-    elif claim == "R4.16":
-        ok, _ = _check_r4_16(phi(), psi())
-    elif claim == "P5.2":
-        ok, _ = _check_p5_2(fmap(), phi())
-    elif claim == "P5.4":
-        ok, _ = _check_p5_4(fmap(), psi())
-    elif claim == "P5.7":
-        ok, _ = _check_p5_7(fmap(), phi())
-    elif claim == "P5.8":
-        ok, _ = _check_p5_8(fmap(), psi())
-    elif claim == "P5.10":
-        ok = _check_p5_10(fmap(), phi())[0]
-    elif claim == "P5.11":
-        ok = _check_p5_11(fmap(), psi())[0]
-    else:
-        raise ValueError(f"no replay rule for claim {claim!r}")
-    return not ok
+    inputs = tuple(_decode(name, record[name]) for name in claim.inputs)
+    if claim.hypothesis is not None and not claim.hypothesis(*inputs):
+        return False
+    maps = (_decode("map", record["map"]),) if claim.map_kinds else ()
+    return not _judge(claim, inputs, maps, _Tally())[0]
 
 
 # --- worked-example reproductions ----------------------------------------------
@@ -1209,7 +882,7 @@ def _expect(condition: bool, message: str):
         raise ReproductionError(message)
 
 
-def reproduce_example(example_id: str, config: AuditConfig | None = None) -> AuditReport:
+def reproduce_example(example_id: str) -> AuditReport:
     """Re-run one of the two published worked examples exactly."""
     if example_id in ("4.5", "example-4.5"):
         return _reproduce_4_5()
@@ -1358,8 +1031,8 @@ def _search_r4_3(config):
                 if report.verdict:
                     return {
                         "claim": "R4.3",
-                        "theta": _subset_payload(theta),
-                        "alpha": format_grade(alpha),
+                        "theta": _encode("theta", theta),
+                        "alpha": _encode("alpha", alpha),
                         "violation": check_qfuzzy_subgroup(theta).detail,
                     }
     return None
@@ -1419,9 +1092,9 @@ def _search_r4_9(config):
                         )
                     return {
                         "claim": "R4.9",
-                        "theta": _subset_payload(theta),
-                        "sigma": _subset_payload(sigma),
-                        "alpha": format_grade(alpha),
+                        "theta": _encode("theta", theta),
+                        "sigma": _encode("sigma", sigma),
+                        "alpha": _encode("alpha", alpha),
                         "violation": union_report.detail,
                     }
     return None
@@ -1443,8 +1116,8 @@ def _search_p4_11_literal(config):
                 if not literal.verdict:
                     return {
                         "claim": "P4.11-literal",
-                        "theta": _subset_payload(theta),
-                        "alpha": format_grade(alpha),
+                        "theta": _encode("theta", theta),
+                        "alpha": _encode("alpha", alpha),
                         "violation": literal.detail,
                     }
     return None
@@ -1453,23 +1126,23 @@ def _search_p4_11_literal(config):
 def validate_witness(record: dict) -> bool:
     """Re-validate a search witness through the checking module."""
     claim = record["claim"]
-    alpha = parse_grade(record["alpha"])
+    alpha = _decode("alpha", record["alpha"])
     if claim == "R4.3":
-        theta = _subset_from_payload(record["theta"])
+        theta = _decode("theta", record["theta"])
         return (
             not check_qfuzzy_subgroup(theta).verdict
             and check_alpha_subgroup(alpha_restrict(theta, alpha)).verdict
         )
     if claim == "R4.9":
-        theta = _subset_from_payload(record["theta"])
-        sigma = _subset_from_payload(record["sigma"])
+        theta = _decode("theta", record["theta"])
+        sigma = _decode("sigma", record["sigma"])
         return (
             check_alpha_subgroup(alpha_restrict(theta, alpha)).verdict
             and check_alpha_subgroup(alpha_restrict(sigma, alpha)).verdict
             and not check_alpha_subgroup(alpha_restrict(union(theta, sigma), alpha)).verdict
         )
     if claim == "P4.11-literal":
-        theta = _subset_from_payload(record["theta"])
+        theta = _decode("theta", record["theta"])
         phi = alpha_restrict(theta, alpha)
         return (
             check_alpha_subgroup(phi).verdict

@@ -1,11 +1,16 @@
 """Acceptance gate: one test per criterion, each emitting a pass/fail line.
 
 The full default audit (catalog x 200 trials, seed 7) is executed twice by a
-module-scoped fixture; criteria 3, 4, and 7 read those shared runs.
+module-scoped fixture; criteria 3, 4, and 7 read those shared runs.  Criterion
+7 has a second test: the first run must render the behaviour fingerprint
+recorded in `perfbench/digests.json`.
 """
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +48,8 @@ from qfuzzy.reports import render_structured
 
 F = Fraction
 Q = ("q",)
+# the benchmark's recorded digests; "default-audit" is the behaviour fingerprint
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 def _verdict(number: int, ok: bool, detail: str):
@@ -231,6 +238,17 @@ def test_criterion_7_determinism_byte_identical(default_audit_runs):
         ok,
         f"two audit --all --trials 200 --seed 7 runs render to identical "
         f"{len(a)}-byte structured reports",
+    )
+
+
+def test_criterion_7_default_audit_renders_recorded_fingerprint(default_audit_runs):
+    first, _ = default_audit_runs
+    digest = hashlib.sha256(render_structured(first).encode()).hexdigest()
+    recorded = json.loads(DIGESTS.read_text())["default-audit"]["sha256"]
+    _verdict(
+        7,
+        digest == recorded,
+        f"default audit renders sha256 {digest[:12]}..., recorded {recorded[:12]}...",
     )
 
 

@@ -1,11 +1,19 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from qfuzzy import lab
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from qfuzzy.fuzzy import alpha_restrict, make_qfuzzy
-from qfuzzy.groups import standard_group
+from qfuzzy.groups import (
+    ANTI_HOMOMORPHISM,
+    HOMOMORPHISM,
+    enumerate_maps,
+    is_injective,
+    standard_group,
+)
 from qfuzzy.lab import (
     CLAIM_ORDER,
     EXPECTED_VERIFIED,
@@ -182,7 +190,7 @@ def test_example_4_10_values_match_by_hand():
 
 def test_p4_7_translation_failure_is_materialized_and_replays():
     # feed a hand-built failing input through the shared conclusion check
-    from qfuzzy.lab import _alpha_payload, _check_p4_7
+    from qfuzzy.lab import _check_p4_7, _encode
 
     g = standard_group("cyclic4")
     theta = make_qfuzzy(g, Q, [[F(1, 2)], [F(1, 2)], [F(1, 2)], [F(1, 10)]])
@@ -190,5 +198,144 @@ def test_p4_7_translation_failure_is_materialized_and_replays():
     assert not check_alpha_subgroup(phi).verdict  # not a subgroup, so P4.7 can fail
     ok, detail = _check_p4_7(phi)
     assert not ok and "at (" in detail
-    record = {"claim": "P4.7", "phi": _alpha_payload(phi), "violation": detail}
+    record = {"claim": "P4.7", "phi": _encode("phi", phi), "violation": detail}
     assert replay_failure(record)
+
+
+# --- replay honours the hypotheses the audit filters on ------------------------
+
+
+def restricted(group_name, grades, alpha=F(1)):
+    group = standard_group(group_name)
+    return alpha_restrict(make_qfuzzy(group, Q, [[g] for g in grades]), alpha)
+
+
+def first_map(source, target, injective=None):
+    # the first anti-homomorphism, optionally with the given injectivity
+    maps = enumerate_maps(standard_group(source), standard_group(target), ANTI_HOMOMORPHISM)
+    return next(f for f in maps if injective is None or is_injective(f) == injective)
+
+
+def record(claim, f=None, **inputs):
+    rec = {name: lab._encode(name, value) for name, value in inputs.items()}
+    if f is not None:
+        rec["map"] = lab._encode("map", f)
+    return {"claim": claim, **rec, "violation": "synthetic"}
+
+
+def test_replay_p4_15_needs_a_subgroup_product():
+    phi = restricted("cyclic2", [F(1, 10), F(1, 2)])
+    psi = restricted("cyclic3", [F(1, 2)] * 3)
+    assert not lab._product_is_subgroup(phi, psi)
+    assert lab._dominates_identity(psi, phi)
+    assert lab._check_p4_15(phi, psi)[0] is False  # case (ii) fails on its own
+    assert not replay_failure(record("P4.15", phi=phi, psi=psi))
+
+
+def test_replay_r4_16_needs_a_subgroup_product():
+    phi = restricted("cyclic2", [F(1, 10), F(1, 2)])
+    psi = restricted("cyclic3", [F(1, 10), F(1, 2), F(1, 2)])
+    assert not lab._product_is_subgroup(phi, psi)
+    assert lab._check_r4_16(phi, psi)[0] is False  # neither factor is a subgroup
+    assert not replay_failure(record("R4.16", phi=phi, psi=psi))
+
+
+def test_replay_p5_7_needs_an_abelian_kernel_and_a_positive_identity():
+    # a constant on symmetric3: its kernel, and its image's, is not abelian
+    phi = restricted("symmetric3", [F(1, 2)] * 6)
+    f = first_map("symmetric3", "symmetric3", injective=True)
+    assert lab._positive_at_identity(phi) and not lab._all_abelian(phi)
+    assert lab._check_p5_7(f, phi)[0] is False
+    assert not replay_failure(record("P5.7", f, phi=phi))
+    # all zero: the image's kernel is the whole of symmetric3
+    phi = restricted("cyclic2", [F(0), F(0)])
+    f = first_map("cyclic2", "symmetric3")
+    assert lab._all_abelian(phi) and not lab._positive_at_identity(phi)
+    assert lab._check_p5_7(f, phi)[0] is False
+    assert not replay_failure(record("P5.7", f, phi=phi))
+
+
+def test_replay_p5_8_needs_an_abelian_kernel_and_an_injective_map():
+    psi = restricted("symmetric3", [F(1, 2)] * 6)
+    f = first_map("symmetric3", "symmetric3", injective=True)
+    assert not lab._all_abelian(psi)
+    assert lab._check_p5_8(f, psi)[0] is False
+    assert not replay_failure(record("P5.8", f, psi=psi))
+    # a non-injective map gives a literal finding, not a failure
+    psi = restricted("cyclic2", [F(1, 2), F(1, 2)])
+    f = first_map("symmetric3", "cyclic2", injective=False)
+    assert lab._all_abelian(psi)
+    assert lab._check_p5_8(f, psi)[0] is False
+    assert not replay_failure(record("P5.8", f, psi=psi))
+
+
+def escaping_level_sets(monkeypatch, group_name):
+    # the level-set inclusion always holds, so replay is shown failing it by
+    # emptying the lab's level sets on one group
+    real = lab.level_set
+
+    def level(phi, cut, q):
+        return frozenset() if phi.group.name == group_name else real(phi, cut, q)
+
+    monkeypatch.setattr(lab, "level_set", level)
+
+
+def test_replay_p5_10_needs_cyclic_level_sets(monkeypatch):
+    escaping_level_sets(monkeypatch, "cyclic2")
+    cyclic = restricted("cyclic4", [F(1, 2)] * 4)
+    assert replay_failure(record("P5.10", first_map("cyclic4", "cyclic2"), phi=cyclic))
+    klein = restricted("klein4", [F(1, 2)] * 4)
+    f = first_map("klein4", "cyclic2")
+    assert not lab._all_cyclic(klein)
+    assert lab._check_p5_10(f, klein)[0] is False
+    assert not replay_failure(record("P5.10", f, phi=klein))
+
+
+def test_replay_p5_11_needs_cyclic_level_sets(monkeypatch):
+    escaping_level_sets(monkeypatch, "cyclic2")
+    cyclic = restricted("cyclic4", [F(1, 2)] * 4)
+    assert replay_failure(record("P5.11", first_map("cyclic2", "cyclic4"), psi=cyclic))
+    klein = restricted("klein4", [F(1, 2)] * 4)
+    f = first_map("cyclic2", "klein4")
+    assert not lab._all_cyclic(klein)
+    assert lab._check_p5_11(f, klein)[0] is False
+    assert not replay_failure(record("P5.11", f, psi=klein))
+
+
+def test_replay_of_a_search_record_and_of_an_unknown_claim():
+    no_witness = {"claim": "R4.9", "violation": "no witness found in the bounded search space"}
+    assert not replay_failure(no_witness)
+    with pytest.raises(ValueError, match="no replay rule"):
+        replay_failure({"claim": "P9.9"})
+
+
+# --- the payload codec ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["cyclic2", "cyclic6", "klein4", "symmetric3", "quaternion8"])
+def test_codec_round_trips_every_input_kind(name):
+    group = standard_group(name)
+    pool = AuditConfig().grade_pool
+    rng = random.Random(name)
+
+    def round_trip(input_name, value):
+        payload = json.loads(json.dumps(lab._encode(input_name, value)))
+        return lab._decode(input_name, payload)
+
+    for q_labels in (Q, ("q1", "q2")):
+        theta = random_qfuzzy(group, q_labels, rng, pool)
+        sigma = random_qfuzzy_subgroup(group, q_labels, rng, pool)
+        for value in (theta, sigma):
+            assert round_trip("theta", value) == value
+            assert round_trip("sigma", value) == value
+        for alpha in pool:
+            assert round_trip("alpha", alpha) == alpha
+            for value in (alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)):
+                assert round_trip("phi", value) == value
+                assert round_trip("psi", value) == value
+    for kind in (HOMOMORPHISM, ANTI_HOMOMORPHISM):
+        for target in ("cyclic2", "symmetric3"):
+            maps = enumerate_maps(group, standard_group(target), kind)
+            assert maps
+            for f in maps:
+                assert round_trip("map", f) == f
