@@ -10,25 +10,28 @@ Conventions shared by every check:
   meets (for the anti-closure, the greatest grade).  The remaining pairs keep
   their row-major order, so the first violation is the same;
 * violation details render as "lhs = p/q < rhs = r/s at (x, y, q)".
+
+The scans read each table's integer columns (see `qfuzzy.fuzzy`); a grade
+becomes a `Fraction` only to render a violation.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .grades import format_grade, scaled_columns
+from .grades import format_grade
 from .fuzzy import AlphaQFuzzySubset, QFuzzySubset, achieved_grades, level_set
 from .groups import analyze_subset
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConditionResult:
     ok: bool
     witness: tuple | None = None
     detail: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CheckReport:
     verdict: bool
     conditions: dict[str, ConditionResult]
@@ -52,16 +55,17 @@ class CheckReport:
         return "\n".join(lines)
 
 
-def _violation(lhs: Fraction, rhs: Fraction, at: tuple) -> str:
-    place = ", ".join(at)
-    return f"lhs = {format_grade(lhs)} < rhs = {format_grade(rhs)} at ({place})"
+def _violation(lhs: int, rhs: int, den: int, at: tuple) -> str:
+    # lhs / den < rhs / den
+    lhs, rhs = format_grade(Fraction(lhs, den)), format_grade(Fraction(rhs, den))
+    return f"lhs = {lhs} < rhs = {rhs} at ({', '.join(at)})"
 
 
-def _closure_condition(group, q_labels, grades, columns) -> ConditionResult:
+def _closure_condition(t) -> ConditionResult:
     # grade(xy, q) >= min(grade(x, q), grade(y, q))
-    table = group.table
-    for k, q in enumerate(q_labels):
-        col = columns[k]
+    group, table, dens = t.group, t.group.table, t.dens
+    for k, q in enumerate(t.q_labels):
+        col = t.columns[k]
         lo = min(col)  # a pair with an element at lo is bounded by lo: it holds
         live = [x for x, g in enumerate(col) if g > lo]
         for x in live:
@@ -71,18 +75,18 @@ def _closure_condition(group, q_labels, grades, columns) -> ConditionResult:
                 gy = col[y]
                 if col[row[y]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)
-                    bound = grades[x][k] if gx <= gy else grades[y][k]
+                    bound = gx if gx <= gy else gy
                     return ConditionResult(
-                        False, at, _violation(grades[row[y]][k], bound, at)
+                        False, at, _violation(col[row[y]], bound, dens[k], at)
                     )
     return ConditionResult(True)
 
 
-def _anti_closure_condition(group, q_labels, grades, columns) -> ConditionResult:
+def _anti_closure_condition(t) -> ConditionResult:
     # grade(xy, q) <= max(grade(x, q), grade(y, q))
-    table = group.table
-    for k, q in enumerate(q_labels):
-        col = columns[k]
+    group, table, dens = t.group, t.group.table, t.dens
+    for k, q in enumerate(t.q_labels):
+        col = t.columns[k]
         hi = max(col)  # a pair with an element at hi is bounded by hi: it holds
         live = [x for x, g in enumerate(col) if g < hi]
         for x in live:
@@ -92,33 +96,33 @@ def _anti_closure_condition(group, q_labels, grades, columns) -> ConditionResult
                 gy = col[y]
                 if col[row[y]] > (gx if gx >= gy else gy):
                     at = (group.label(x), group.label(y), q)
-                    bound = grades[x][k] if gx >= gy else grades[y][k]
+                    bound = gx if gx >= gy else gy
                     return ConditionResult(
-                        False, at, _violation(bound, grades[row[y]][k], at)
+                        False, at, _violation(bound, col[row[y]], dens[k], at)
                     )
     return ConditionResult(True)
 
 
-def _inverse_condition(group, q_labels, grades, columns) -> ConditionResult:
+def _inverse_condition(t) -> ConditionResult:
     # grade(x^-1, q) >= grade(x, q)
-    inverses = group.inverses
-    for k, q in enumerate(q_labels):
-        col = columns[k]
+    group, inverses, dens = t.group, t.group.inverses, t.dens
+    for k, q in enumerate(t.q_labels):
+        col = t.columns[k]
         for x in range(group.order):
             if col[inverses[x]] < col[x]:
                 at = (group.label(x), q)
                 return ConditionResult(
-                    False, at, _violation(grades[inverses[x]][k], grades[x][k], at)
+                    False, at, _violation(col[inverses[x]], col[x], dens[k], at)
                 )
     return ConditionResult(True)
 
 
-def _quotient_condition(group, q_labels, grades, columns) -> ConditionResult:
+def _quotient_condition(t) -> ConditionResult:
     # grade(x y^-1, q) >= min(grade(x, q), grade(y, q))
-    table = group.table
-    inverses = group.inverses
-    for k, q in enumerate(q_labels):
-        col = columns[k]
+    group, dens = t.group, t.dens
+    table, inverses = group.table, group.inverses
+    for k, q in enumerate(t.q_labels):
+        col = t.columns[k]
         lo = min(col)
         live = [x for x, g in enumerate(col) if g > lo]
         for x in live:
@@ -128,9 +132,9 @@ def _quotient_condition(group, q_labels, grades, columns) -> ConditionResult:
                 gy = col[y]
                 if col[row[inverses[y]]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)
-                    bound = grades[x][k] if gx <= gy else grades[y][k]
+                    bound = gx if gx <= gy else gy
                     return ConditionResult(
-                        False, at, _violation(grades[row[inverses[y]]][k], bound, at)
+                        False, at, _violation(col[row[inverses[y]]], bound, dens[k], at)
                     )
     return ConditionResult(True)
 
@@ -144,10 +148,8 @@ def _first_failure(*conditions: ConditionResult):
 
 def check_qfuzzy_subgroup(theta: QFuzzySubset) -> CheckReport:
     """Q-fuzzy subgroup test on the raw grades."""
-    group, q_labels, grades = theta.group, theta.q_labels, theta.grades
-    columns = scaled_columns(grades)
-    closure = _closure_condition(group, q_labels, grades, columns)
-    inverse = _inverse_condition(group, q_labels, grades, columns)
+    closure = _closure_condition(theta)
+    inverse = _inverse_condition(theta)
     witness, detail = _first_failure(closure, inverse)
     return CheckReport(
         verdict=closure.ok and inverse.ok,
@@ -164,11 +166,9 @@ def check_alpha_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     grades) and the single quotient-condition form; the verdict is the
     two-condition one and any disagreement is flagged as an audit event.
     """
-    group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
-    columns = scaled_columns(grades)
-    closure = _closure_condition(group, q_labels, grades, columns)
-    inverse = _inverse_condition(group, q_labels, grades, columns)
-    quotient = _quotient_condition(group, q_labels, grades, columns)
+    closure = _closure_condition(phi)
+    inverse = _inverse_condition(phi)
+    quotient = _quotient_condition(phi)
     verdict = closure.ok and inverse.ok
     witness, detail = _first_failure(closure, inverse, quotient)
     return CheckReport(
@@ -184,10 +184,8 @@ def check_anti_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     """Reversed inequalities: grade(xy) <= max(grade(x), grade(y)) plus
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
-    group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
-    columns = scaled_columns(grades)
-    anti = _anti_closure_condition(group, q_labels, grades, columns)
-    inverse = _inverse_condition(group, q_labels, grades, columns)
+    anti = _anti_closure_condition(phi)
+    inverse = _inverse_condition(phi)
     witness, detail = _first_failure(anti, inverse)
     return CheckReport(
         verdict=anti.ok and inverse.ok,
@@ -206,7 +204,7 @@ def kernel_set(phi: AlphaQFuzzySubset) -> KernelSet:
     """Per q label: elements whose grade equals the identity's grade."""
     e = phi.group.identity
     per_label = {}
-    for q, column in zip(phi.q_labels, scaled_columns(phi.restricted)):
+    for q, column in zip(phi.q_labels, phi.columns):
         top = column[e]
         per_label[q] = frozenset([x for x, g in enumerate(column) if g == top])
     return KernelSet(per_label)

@@ -3,10 +3,17 @@
 A Q-fuzzy subset assigns an exact rational grade in [0, 1] to every
 (element, q-label) pair.  The threshold restriction by alpha replaces each
 grade with min(grade, alpha).  All operations are pure and exact.
+
+A table's working form is its integer columns: `columns[k][x]` is the grade
+of element x at the k-th q label as a numerator over `dens[k]`.  Operations
+build their results' columns from their operands' columns; the `Fraction`
+table (`grades`, `restricted`) is a view built on first read, for parsing,
+formatting, the codec and witnesses.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .grades import (
@@ -14,10 +21,8 @@ from .grades import (
     ZERO,
     ONE,
     format_grade,
-    grade_le,
-    greatest,
     parse_grade,
-    scaled_column,
+    scale_grades,
     validate_grade,
 )
 from .groups import FiniteGroup, GroupMap, FileFormatError, direct_product, standard_group
@@ -31,14 +36,72 @@ class InvariantError(RuntimeError):
     """A restriction identity failed its re-check against the direct result."""
 
 
-@dataclass(frozen=True)
-class QFuzzySubset:
-    group: FiniteGroup
-    q_labels: tuple[str, ...]
-    grades: tuple[tuple[Fraction, ...], ...]  # grades[element][q_index]
+def _pairwise(a, b, merge):
+    """Per q label, merge(column of a, column of b), the two over their
+    common denominator: (columns, dens)."""
+    columns, dens = [], []
+    for ca, da, cb, db in zip(a.columns, a.dens, b.columns, b.dens):
+        if da != db:
+            den = math.lcm(da, db)
+            ca, cb, da = [g * (den // da) for g in ca], [g * (den // db) for g in cb], den
+        columns.append(merge(ca, cb))
+        dens.append(da)
+    return tuple(columns), tuple(dens)
+
+
+class _GradeTable:
+    """Integer columns, `columns[k][x]` over `dens[k]`, with a `Fraction`
+    view built on first read.  Tables are equal when their carriers and
+    grades are, whatever the denominators."""
+
+    __slots__ = ()
+
+    def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._view is None:
+            self._view = tuple(zip(*[
+                [Fraction(g, den) for g in column]
+                for column, den in zip(self.columns, self.dens)
+            ]))
+        return self._view
 
     def grade(self, x: int, k: int) -> Fraction:
-        return self.grades[x][k]
+        return Fraction(self.columns[k][x], self.dens[k])
+
+    def same_grades(self, other: _GradeTable) -> bool:
+        """Every grade equals the other table's, on a carrier of the same
+        size, whatever the denominators."""
+        return len(self.columns) == len(other.columns) and all(
+            a == b if da == db else all([x * db == y * da for x, y in zip(a, b)])
+            for a, da, b, db in zip(self.columns, self.dens, other.columns, other.dens)
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._carrier() == other._carrier() and self.same_grades(other)
+
+
+@dataclass(eq=False, slots=True)
+class QFuzzySubset(_GradeTable):
+    group: FiniteGroup
+    q_labels: tuple[str, ...]
+    columns: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+    _view: tuple | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_grades(cls, group, q_labels, grades) -> QFuzzySubset:
+        """From `grades[element][q_index]`, `Fraction`s taken as given; see
+        `make_qfuzzy` for the validating constructor."""
+        view = tuple(map(tuple, grades))
+        scaled = [scale_grades(column) for column in zip(*view)]
+        columns, dens = tuple([c for c, _ in scaled]), tuple([d for _, d in scaled])
+        return cls(group, q_labels, columns, dens, view)
+
+    grades = property(_GradeTable._fractions)  # grades[element][q_index]
+
+    def _carrier(self):
+        return self.group, self.q_labels
 
     def q_index(self, label: str) -> int:
         try:
@@ -47,11 +110,18 @@ class QFuzzySubset:
             raise CarrierError(f"unknown q label {label!r}") from None
 
 
-@dataclass(frozen=True)
-class AlphaQFuzzySubset:
+@dataclass(eq=False, slots=True)
+class AlphaQFuzzySubset(_GradeTable):
     base: QFuzzySubset
     alpha: Fraction
-    restricted: tuple[tuple[Fraction, ...], ...]
+    columns: tuple[tuple[int, ...], ...]  # restricted
+    dens: tuple[int, ...]
+    _view: tuple | None = field(default=None, repr=False)
+
+    restricted = property(_GradeTable._fractions)
+
+    def _carrier(self):
+        return self.base, self.alpha
 
     @property
     def group(self) -> FiniteGroup:
@@ -60,9 +130,6 @@ class AlphaQFuzzySubset:
     @property
     def q_labels(self) -> tuple[str, ...]:
         return self.base.q_labels
-
-    def grade(self, x: int, k: int) -> Fraction:
-        return self.restricted[x][k]
 
 
 def make_qfuzzy(group: FiniteGroup, q_labels, grades) -> QFuzzySubset:
@@ -78,7 +145,7 @@ def make_qfuzzy(group: FiniteGroup, q_labels, grades) -> QFuzzySubset:
             f"grade table must be {group.order}x{len(q_labels)} for group {group.name}"
         )
     checked = tuple(tuple(validate_grade(g) for g in row) for row in rows)
-    return QFuzzySubset(group, q_labels, checked)
+    return QFuzzySubset.from_grades(group, q_labels, checked)
 
 
 def constant_qfuzzy(group: FiniteGroup, q_labels, value: Fraction) -> QFuzzySubset:
@@ -100,17 +167,18 @@ def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) ->
 
 def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
     alpha = validate_grade(alpha)
-    # min(g, alpha) by `grade_le`'s cross-multiplication, inlined because it
-    # runs on every grade of every restriction: n/d <= a/b iff n * b <= a * d
     a, b = alpha.as_integer_ratio()
-    restricted = []
-    for row in theta.grades:
-        capped = []
-        for g in row:
-            n, d = g.as_integer_ratio()
-            capped.append(g if n * b <= a * d else alpha)
-        restricted.append(tuple(capped))
-    return AlphaQFuzzySubset(theta, alpha, tuple(restricted))
+    columns, dens = [], []
+    for column, den in zip(theta.columns, theta.dens):
+        if den % b:  # alpha is not over the column's denominator: use their lcm
+            factor = b // math.gcd(den, b)
+            column, den = tuple([g * factor for g in column]), den * factor
+        cap = a * (den // b)
+        if max(column) > cap:
+            column = tuple([g if g <= cap else cap for g in column])
+        columns.append(column)
+        dens.append(den)
+    return AlphaQFuzzySubset(theta, alpha, tuple(columns), tuple(dens))
 
 
 def _require_shared_carrier(a, b) -> None:
@@ -121,19 +189,11 @@ def _require_shared_carrier(a, b) -> None:
 def combine(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
     """Pointwise max (union) or min (intersection)."""
     _require_shared_carrier(a, b)
-    if kind == "union":
-        rows = tuple(
-            tuple([x if grade_le(y, x) else y for x, y in zip(ra, rb)])
-            for ra, rb in zip(a.grades, b.grades)
-        )
-    elif kind == "intersection":
-        rows = tuple(
-            tuple([x if grade_le(x, y) else y for x, y in zip(ra, rb)])
-            for ra, rb in zip(a.grades, b.grades)
-        )
-    else:
+    op = {"union": max, "intersection": min}.get(kind)
+    if op is None:
         raise ValueError(f"unknown combine kind {kind!r}")
-    return QFuzzySubset(a.group, a.q_labels, rows)
+    columns = _pairwise(a, b, lambda ca, cb: tuple(map(op, ca, cb)))
+    return QFuzzySubset(a.group, a.q_labels, *columns)
 
 
 def union(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
@@ -153,21 +213,18 @@ def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
     _require_shared_carrier(a, b)
     if kind not in ("subset", "equal"):
         raise ValueError(f"unknown compare kind {kind!r}")
+    pairs = _pairwise(a, b, lambda ca, cb: (ca, cb))[0]
     for x in range(a.group.order):
-        for k, q in enumerate(a.q_labels):
-            ga, gb = a.grades[x][k], b.grades[x][k]
-            if kind == "subset":
-                ok = grade_le(ga, gb)
-            else:  # Fractions are kept in lowest terms
-                ok = ga.as_integer_ratio() == gb.as_integer_ratio()
+        for q, (ca, cb) in zip(a.q_labels, pairs):
+            ok = ca[x] <= cb[x] if kind == "subset" else ca[x] == cb[x]
             if not ok:
                 return False, (a.group.label(x), q)
     return True, None
 
 
 def complement(theta: QFuzzySubset) -> QFuzzySubset:
-    rows = tuple(tuple(ONE - g for g in row) for row in theta.grades)
-    return QFuzzySubset(theta.group, theta.q_labels, rows)
+    columns = tuple([tuple([den - g for g in c]) for c, den in zip(theta.columns, theta.dens)])
+    return QFuzzySubset(theta.group, theta.q_labels, columns, theta.dens)
 
 
 def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
@@ -185,17 +242,14 @@ def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset
         )
     prod_group = direct_product(phi.group, psi.group)
 
-    def pairwise_min(left, right):
-        return tuple(
-            tuple([x if grade_le(x, y) else y for x, y in zip(rx, ry)])
-            for rx in left
-            for ry in right
-        )
+    def pairwise_min(ca, cb):
+        return tuple([x if x <= y else y for x in ca for y in cb])
 
-    base = QFuzzySubset(prod_group, phi.q_labels, pairwise_min(phi.base.grades, psi.base.grades))
+    base = QFuzzySubset(prod_group, phi.q_labels, *_pairwise(phi.base, psi.base, pairwise_min))
     out = alpha_restrict(base, phi.alpha)
     # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
-    if out.restricted != pairwise_min(phi.restricted, psi.restricted):
+    direct = QFuzzySubset(prod_group, phi.q_labels, *_pairwise(phi, psi, pairwise_min))
+    if not out.same_grades(direct):
         raise InvariantError(
             "product: restricting the base differs from the direct product"
         )
@@ -210,38 +264,35 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
     """
     if theta.group != f.source:
         raise CarrierError("subset does not live on the map's source group")
-    grades = theta.grades
-    empty = (ZERO,) * len(theta.q_labels)
-    rows = tuple(
-        tuple(map(greatest, zip(*[grades[x] for x in bucket]))) if bucket else empty
-        for bucket in f.fibers
-    )
-    return QFuzzySubset(f.target, theta.q_labels, rows)
+    fibers = f.fibers
+    columns = tuple([
+        tuple([max([column[x] for x in bucket]) if bucket else 0 for bucket in fibers])
+        for column in theta.columns
+    ])
+    return QFuzzySubset(f.target, theta.q_labels, columns, theta.dens)
 
 
 def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
     if sigma.group != f.target:
         raise CarrierError("subset does not live on the map's target group")
-    rows = tuple(sigma.grades[f.images[x]] for x in range(f.source.order))
-    return QFuzzySubset(f.source, sigma.q_labels, rows)
+    images = f.images
+    columns = tuple([tuple([column[y] for y in images]) for column in sigma.columns])
+    return QFuzzySubset(f.source, sigma.q_labels, columns, sigma.dens)
 
 
 def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : restricted grade(x, q) >= c }."""
-    c = validate_grade(c)
+    n, d = validate_grade(c).as_integer_ratio()
     k = phi.base.q_index(q_label)
-    # the cut goes over the column's common denominator with the grades
-    *column, cut = scaled_column([row[k] for row in phi.restricted] + [c])
-    return frozenset([x for x, g in enumerate(column) if g >= cut])
+    cut = n * phi.dens[k]  # g / den >= n / d iff g * d >= n * den
+    return frozenset([x for x, g in enumerate(phi.columns[k]) if g * d >= cut])
 
 
 def achieved_grades(phi: AlphaQFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
     """Distinct restricted grades for one q label, plus 0, ascending."""
     k = phi.base.q_index(q_label)
-    column = [row[k] for row in phi.restricted]
-    by_value = dict(zip(scaled_column(column), column))
-    by_value.setdefault(0, ZERO)
-    return tuple([by_value[v] for v in sorted(by_value)])
+    den = phi.dens[k]
+    return tuple([Fraction(g, den) for g in sorted({0, *phi.columns[k]})])
 
 
 # --- fuzzy-set file format ---------------------------------------------------

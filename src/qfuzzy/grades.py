@@ -1,8 +1,10 @@
 """Exact rational membership grades.
 
-Grades live in [0, 1] and are always `fractions.Fraction` values; nothing in
-this package ever touches floating point.  Decimal literals such as "0.4"
-parse to the exact rational 2/5.
+Grades live in [0, 1] and are exact rationals; nothing in this package ever
+touches floating point.  Decimal literals such as "0.4" parse to the exact
+rational 2/5.  At the edges (parsing, formatting, the codec and witnesses) a
+grade is a `fractions.Fraction`; inside, it is an integer over a denominator
+shared by its column.
 """
 from __future__ import annotations
 
@@ -33,51 +35,42 @@ def validate_grade(value: Fraction) -> Fraction:
     return value
 
 
-# --- exact order on integers ---------------------------------------------------
+# --- grades as integers ------------------------------------------------------
 #
 # Comparing two `Fraction`s costs a type dispatch and two multiplications in
-# Python code.  The kernels instead read each grade's (numerator, denominator)
-# once with `as_integer_ratio()` and compare integers: a/b <= c/d iff
-# a*d <= c*b, as denominators are positive.  Grades stay stored as `Fraction`.
+# Python code.  Grade tables instead hold each q label's grades as integers
+# over one denominator, scaled once when the table is built from `Fraction`s
+# (`scale_grades`); equal grades get equal integers, and the integers order
+# as the grades do.  A grade pool is scaled once the same way (`GradePool`).
 
 
-def grade_le(a: Fraction, b: Fraction) -> bool:
-    """a <= b, by cross-multiplying."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bd <= bn * ad
-
-
-def greatest(values) -> Fraction:
-    """The first of the greatest grades, as `max` would return it."""
-    values = iter(values)
-    best = next(values)
-    bn, bd = best.as_integer_ratio()
-    for g in values:
-        n, d = g.as_integer_ratio()
-        if n * bd > bn * d:
-            best, bn, bd = g, n, d
-    return best
-
-
-def scaled_column(values) -> list[int]:
-    """Every grade as an integer over the grades' common denominator: equal
-    grades get equal integers, and the integers order as the grades do."""
+def scale_grades(values) -> tuple[tuple[int, ...], int]:
+    """The grades as integers over their least common denominator, and that
+    denominator."""
     ratios = [g.as_integer_ratio() for g in values]
     den = math.lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios]
-
-
-def scaled_columns(grades) -> list[list[int]]:
-    """`scaled_column` of each q label of a `grades[element][q_index]` table."""
-    return [scaled_column(col) for col in zip(*grades)]
+    return tuple([n * (den // d) for n, d in ratios]), den
 
 
 def sorted_grades(values) -> list[Fraction]:
     """The grades in ascending order; equal grades keep their given order."""
     values = list(values)
-    ranked = sorted(zip(scaled_column(values), values), key=itemgetter(0))
+    ranked = sorted(zip(scale_grades(values)[0], values), key=itemgetter(0))
     return [g for _, g in ranked]
+
+
+class GradePool(tuple):
+    """Validated grades, in the given order, with `scaled`: the same grades
+    as integers over `den`, their common denominator.  Generators draw from
+    `scaled` and build tables over `den` without validating each draw.  As
+    with `tuple`, a pool passed in is returned as it is."""
+
+    def __new__(cls, grades):
+        if type(grades) is cls:
+            return grades
+        pool = super().__new__(cls, [validate_grade(g) for g in grades])
+        pool.scaled, pool.den = scale_grades(pool)
+        return pool
 
 
 def parse_grade(text: str) -> Fraction:

@@ -21,7 +21,6 @@ produces identical reports regardless of execution order.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -31,10 +30,9 @@ from functools import lru_cache
 from .grades import (
     ZERO,
     ONE,
+    GradePool,
     format_grade,
-    grade_le,
     parse_grade,
-    scaled_columns,
     sorted_grades,
     validate_grade,
 )
@@ -122,7 +120,7 @@ class AuditConfig:
     q_size: int = 1
     trials: int = 200
     seed: int = 7
-    grade_pool: tuple[Fraction, ...] = DEFAULT_POOL
+    grade_pool: tuple[Fraction, ...] = DEFAULT_POOL  # a GradePool once built
     map_pairs: tuple[tuple[str, str], ...] = DEFAULT_MAP_PAIRS
     product_pairs: tuple[tuple[str, str], ...] = DEFAULT_PRODUCT_PAIRS
     max_source: int = 8
@@ -134,7 +132,7 @@ class AuditConfig:
             raise ValueError("q_size must be >= 1")
         if not self.grade_pool:
             raise ValueError("grade pool must be nonempty")
-        pool = tuple(sorted_grades(validate_grade(g) for g in self.grade_pool))
+        pool = GradePool(sorted_grades(validate_grade(g) for g in self.grade_pool))
         object.__setattr__(self, "grade_pool", pool)
         object.__setattr__(self, "catalog", tuple(self.catalog))
         object.__setattr__(self, "map_pairs", tuple(tuple(p) for p in self.map_pairs))
@@ -169,8 +167,11 @@ def _trial_rng(config: AuditConfig, prop_id: str, carrier: str, trial: int):
 
 def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
     """Each grade drawn independently and uniformly from the pool."""
-    rows = [[rng.choice(pool) for _ in q_labels] for _ in range(group.order)]
-    return make_qfuzzy(group, q_labels, rows)
+    pool = GradePool(pool)  # AuditConfig's pool is validated and scaled already
+    # `choice` draws an index into the pool, so drawing from its integers
+    # uses the generator as drawing from its grades would
+    rows = [[rng.choice(pool.scaled) for _ in q_labels] for _ in range(group.order)]
+    return QFuzzySubset(group, q_labels, tuple(zip(*rows)), (pool.den,) * len(q_labels))
 
 
 @lru_cache(maxsize=None)
@@ -199,15 +200,18 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     containing x.  The output is re-checked and generation aborts if the
     postcondition ever fails.
     """
-    rows = [[ZERO] * len(q_labels) for _ in range(group.order)]
-    for k in range(len(q_labels)):
+    pool = GradePool(pool)
+    columns = []
+    for _ in q_labels:
         chain = _random_chain(group, rng)
-        grades = sorted_grades([rng.choice(pool) for _ in chain])
+        grades = sorted([rng.choice(pool.scaled) for _ in chain])
+        column = [0] * group.order
         # the chain descends strictly, so each element's deepest layer writes last
         for layer, grade in zip(chain, grades):
             for x in layer:
-                rows[x][k] = grade
-    theta = make_qfuzzy(group, q_labels, [tuple(r) for r in rows])
+                column[x] = grade
+        columns.append(tuple(column))
+    theta = QFuzzySubset(group, q_labels, tuple(columns), (pool.den,) * len(q_labels))
     report = check_qfuzzy_subgroup(theta)
     if not report.verdict:
         raise GeneratorSoundnessError(
@@ -278,16 +282,16 @@ def _decode(name: str, payload):
 
 
 def _restricted_subset(phi: AlphaQFuzzySubset) -> QFuzzySubset:
-    return QFuzzySubset(phi.group, phi.q_labels, phi.restricted)
+    return QFuzzySubset(phi.group, phi.q_labels, phi.columns, phi.dens)
 
 
 def _check_p3_3(theta, sigma, alpha):
-    lhs = alpha_restrict(intersection(theta, sigma), alpha).restricted
+    lhs = alpha_restrict(intersection(theta, sigma), alpha)
     rhs = intersection(
         _restricted_subset(alpha_restrict(theta, alpha)),
         _restricted_subset(alpha_restrict(sigma, alpha)),
-    ).grades
-    if lhs == rhs:
+    )
+    if lhs.same_grades(rhs):
         return True, None
     return False, "restriction of intersection differs from intersection of restrictions"
 
@@ -306,11 +310,11 @@ def _check_p3_4(maps, theta, sigma, alpha):
     restricted_theta = _restricted_subset(alpha_restrict(theta, alpha))
     restricted_sigma = _restricted_subset(alpha_restrict(sigma, alpha))
     for f in maps:
-        lhs = alpha_restrict(image_subset(f, theta), alpha).restricted
-        if lhs != image_subset(f, restricted_theta).grades:
+        lhs = alpha_restrict(image_subset(f, theta), alpha)
+        if not lhs.same_grades(image_subset(f, restricted_theta)):
             return False, "image does not commute with restriction", f
-        lhs = alpha_restrict(preimage_subset(f, sigma), alpha).restricted
-        if lhs != preimage_subset(f, restricted_sigma).grades:
+        lhs = alpha_restrict(preimage_subset(f, sigma), alpha)
+        if not lhs.same_grades(preimage_subset(f, restricted_sigma)):
             return False, "preimage does not commute with restriction", f
     return True, None, None
 
@@ -322,7 +326,7 @@ def _check_p4_2(theta, alpha):
 
 def _check_p4_6(phi):
     group = phi.group
-    for q, column in zip(phi.q_labels, scaled_columns(phi.restricted)):
+    for q, column in zip(phi.q_labels, phi.columns):
         top = column[group.identity]
         if top != max(column):
             return False, f"identity grade is not maximal for q label {q}"
@@ -336,15 +340,15 @@ def _check_p4_7(phi):
     group = phi.group
     table, inverses = group.table, group.inverses
     n = group.order
-    for k, (q, column) in enumerate(zip(phi.q_labels, scaled_columns(phi.restricted))):
+    for q, column, den in zip(phi.q_labels, phi.columns, phi.dens):
         top = column[group.identity]
         for x in range(n):
             row, gx = table[x], column[x]
             for y in range(n):
                 if column[row[inverses[y]]] == top and gx != column[y]:
                     return False, (
-                        f"lhs = {format_grade(phi.restricted[x][k])} != "
-                        f"rhs = {format_grade(phi.restricted[y][k])} at "
+                        f"lhs = {format_grade(Fraction(gx, den))} != "
+                        f"rhs = {format_grade(Fraction(column[y], den))} at "
                         f"({group.label(x)}, {group.label(y)}, {q})"
                     )
     return True, None
@@ -380,16 +384,16 @@ def _check_p4_14(phi, psi):
 def _dominates_identity(phi, psi):
     # phi's identity grade bounds every grade of psi, per q label
     e = phi.group.identity
-    for k in range(len(phi.q_labels)):
-        top = phi.restricted[e][k]
-        if not all(grade_le(row[k], top) for row in psi.restricted):
+    for top, den, column, d in zip(phi.columns, phi.dens, psi.columns, psi.dens):
+        # max(column) / d <= top[e] / den
+        if max(column) * den > top[e] * d:
             return False
     return True
 
 
 def _positive_at_identity(phi):
     e = phi.group.identity
-    return all(g.numerator > 0 for g in phi.restricted[e])
+    return all(column[e] > 0 for column in phi.columns)
 
 
 def _product_is_subgroup(phi, psi):
@@ -768,9 +772,9 @@ def _judge(claim: Claim, inputs: tuple, maps, tally: _Tally):
             ok, finding = True, (ok, detail)
         if finding is not None:
             held, violation = finding
-            # a missed finding with a violation is materialized every time;
-            # the tally keeps the first
-            miss = None if held or violation is None else _record(claim, inputs, f, violation)
+            # the tally keeps only the first missed finding with a violation
+            keep = not held and violation is not None and tally.first_miss is None
+            miss = _record(claim, inputs, f, violation) if keep else None
             tally.find(held, claim.split is not None and claim.split(f), miss)
         if not ok:
             return False, detail, f
@@ -1038,40 +1042,34 @@ def _search_r4_3(config):
     return None
 
 
-def _two_level_candidates(group, pool):
-    # indicator-style tables: hi on a subgroup, lo elsewhere, hi > lo
+def _two_level_candidates(group, pool: GradePool):
+    # indicator-style tables: hi on a subgroup, lo elsewhere, hi > lo; each
+    # as grades and as integers over the pool's denominator
+    ranked = list(zip(pool, pool.scaled))
     candidates = []
     for sub in all_subgroups(group):
-        for hi in pool:
-            for lo in pool:
-                if not grade_le(hi, lo):
-                    column = tuple(
-                        hi if x in sub else lo for x in range(group.order)
-                    )
-                    candidates.append(column)
+        inside = [x in sub for x in range(group.order)]
+        for hi in ranked:
+            for lo in ranked:
+                if hi[1] > lo[1]:
+                    candidates.append(tuple(zip(*[hi if i else lo for i in inside])))
     return candidates
 
 
 def _search_r4_9(config):
     q = ("q",)
     pool = config.grade_pool
-    # the oracle compares grades as integers over the pool's common denominator
-    den = math.lcm(*(g.denominator for g in pool))
-    scaled = {g: g.numerator * (den // g.denominator) for g in pool}
     for gname in config.catalog:
         group = standard_group(gname)
         if group.order > 6:
             continue
         subgroups = set(all_subgroups(group))
-        candidates = [
-            (col, tuple(scaled[g] for g in col))
-            for col in _two_level_candidates(group, pool)
-        ]
+        candidates = _two_level_candidates(group, pool)
         for col_a, int_a in candidates:
             for col_b, int_b in candidates:
                 merged = tuple(map(max, int_a, int_b))
-                for alpha in pool:
-                    cap = scaled[alpha]
+                # the oracle compares grades as integers over the pool's denominator
+                for alpha, cap in zip(pool, pool.scaled):
                     restricted = [g if g <= cap else cap for g in merged]
                     if _is_fuzzy_subgroup_by_levels(subgroups, restricted):
                         continue

@@ -3,11 +3,13 @@
 The four scans below compare grades as `Fraction`s over every pair, exactly
 as the checks did before they moved to scaled integers and skipped the pairs
 that cannot fail; `check_*` compose them the way `qfuzzy.checks` does, and
-`validate_grade` is the all-`Fraction` grade validation.  Only the tests use
-this module.
+`validate_grade` is the all-`Fraction` grade validation.  The grade helpers
+below are those the kernels used while tables stored `Fraction`s and were
+scaled to integers on every call.  Only the tests use this module.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from qfuzzy.checks import (
@@ -15,7 +17,6 @@ from qfuzzy.checks import (
     ConditionResult,
     KernelSet,
     _first_failure,
-    _violation,
 )
 from qfuzzy.fuzzy import (
     AlphaQFuzzySubset,
@@ -23,9 +24,7 @@ from qfuzzy.fuzzy import (
     InvariantError,
     QFuzzySubset,
     _require_shared_carrier,
-    alpha_restrict,
     make_qfuzzy,
-    preimage_subset,
 )
 from qfuzzy.grades import ONE, ZERO, GradeError, format_grade, sorted_grades
 from qfuzzy.groups import (
@@ -47,6 +46,43 @@ from qfuzzy.lab import (
 
 def intersection(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
     return combine("intersection", a, b)
+
+
+def grade_le(a: Fraction, b: Fraction) -> bool:
+    """a <= b, by cross-multiplying."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    return an * bd <= bn * ad
+
+
+def greatest(values) -> Fraction:
+    """The first of the greatest grades, as `max` would return it."""
+    values = iter(values)
+    best = next(values)
+    bn, bd = best.as_integer_ratio()
+    for g in values:
+        n, d = g.as_integer_ratio()
+        if n * bd > bn * d:
+            best, bn, bd = g, n, d
+    return best
+
+
+def scaled_column(values) -> list[int]:
+    """Every grade as an integer over the grades' common denominator: equal
+    grades get equal integers, and the integers order as the grades do."""
+    ratios = [g.as_integer_ratio() for g in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios]
+
+
+def scaled_columns(grades) -> list[list[int]]:
+    """`scaled_column` of each q label of a `grades[element][q_index]` table."""
+    return [scaled_column(col) for col in zip(*grades)]
+
+
+def _violation(lhs: Fraction, rhs: Fraction, at: tuple) -> str:
+    place = ", ".join(at)
+    return f"lhs = {format_grade(lhs)} < rhs = {format_grade(rhs)} at ({place})"
 
 
 def validate_grade(value: Fraction) -> Fraction:
@@ -178,7 +214,32 @@ def check_anti_subgroup(phi) -> CheckReport:
 # The versions below compare grades as `Fraction`s (or, for `analyze_subset`,
 # close every subset anew), exactly as `qfuzzy.fuzzy`, `qfuzzy.checks`,
 # `qfuzzy.groups` and the `qfuzzy.lab` claim checks did before they moved to
-# integer comparisons and the cached lattice table.
+# integer comparisons and the cached lattice table.  Each builds its result
+# from a `Fraction` table, so its integer columns come from that table.
+
+
+def restriction_of(theta: QFuzzySubset, alpha: Fraction, rows) -> AlphaQFuzzySubset:
+    """The restriction of theta at alpha whose `Fraction` table is `rows`."""
+    table = QFuzzySubset.from_grades(theta.group, theta.q_labels, rows)
+    return AlphaQFuzzySubset(theta, alpha, table.columns, table.dens, table.grades)
+
+
+def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
+    alpha = validate_grade(alpha)
+    restricted = tuple(tuple(min(g, alpha) for g in row) for row in theta.grades)
+    return restriction_of(theta, alpha, restricted)
+
+
+def complement(theta: QFuzzySubset) -> QFuzzySubset:
+    rows = tuple(tuple(ONE - g for g in row) for row in theta.grades)
+    return QFuzzySubset.from_grades(theta.group, theta.q_labels, rows)
+
+
+def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
+    if sigma.group != f.target:
+        raise CarrierError("subset does not live on the map's target group")
+    rows = tuple(sigma.grades[f.images[x]] for x in range(f.source.order))
+    return QFuzzySubset.from_grades(f.source, sigma.q_labels, rows)
 
 
 def combine(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
@@ -194,7 +255,7 @@ def combine(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
         tuple(op(x, y) for x, y in zip(ra, rb))
         for ra, rb in zip(a.grades, b.grades)
     )
-    return QFuzzySubset(a.group, a.q_labels, rows)
+    return QFuzzySubset.from_grades(a.group, a.q_labels, rows)
 
 
 def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
@@ -234,7 +295,7 @@ def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset
     for rx in phi.base.grades:
         for ry in psi.base.grades:
             base_rows.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
-    base = QFuzzySubset(prod_group, phi.q_labels, tuple(base_rows))
+    base = QFuzzySubset.from_grades(prod_group, phi.q_labels, tuple(base_rows))
     out = alpha_restrict(base, phi.alpha)
     # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
     direct = []
@@ -272,7 +333,7 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
             )
         else:
             rows.append((ZERO,) * nq)
-    return QFuzzySubset(f.target, theta.q_labels, tuple(rows))
+    return QFuzzySubset.from_grades(f.target, theta.q_labels, tuple(rows))
 
 
 def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
@@ -425,10 +486,18 @@ def _check_p5_11(f, psi):
     return inclusion, _all_cyclic(theta)
 
 
-# --- the subgroup generator -----------------------------------------------------
+# --- the generators -------------------------------------------------------------
 #
-# `qfuzzy.lab`'s generator as it was before it read proper subgroups from a
-# per-group table and wrote grades layer by layer.
+# `qfuzzy.lab`'s generators as they were while they drew `Fraction`s from the
+# pool and built tables through `make_qfuzzy`, and, for the subgroup
+# generator, before it read proper subgroups from a per-group table and wrote
+# grades layer by layer.
+
+
+def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
+    """Each grade drawn independently and uniformly from the pool."""
+    rows = [[rng.choice(pool) for _ in q_labels] for _ in range(group.order)]
+    return make_qfuzzy(group, q_labels, rows)
 
 
 def _random_chain(group, rng, max_depth=3):

@@ -207,7 +207,26 @@ def test_bundled_example_4_10_files_match_lab_construction():
     names = ("theta", "sigma", "pi")
     for subset, name in zip(expected, names):
         text = (DATA / f"example-4.10-{name}.fuzzy").read_text()
-        assert parse_fuzzy_file(text) == subset
+        parsed = parse_fuzzy_file(text)
+        assert parsed == subset and parsed.grades == subset.grades
+
+
+def test_bundled_example_4_5_file_matches_lab_construction(monkeypatch):
+    from qfuzzy import lab
+    from qfuzzy.checks import check_qfuzzy_subgroup
+    from qfuzzy.fuzzy import parse_fuzzy_file
+
+    # the table `_reproduce_4_5` builds is the first one it checks
+    checked = []
+
+    def check(theta):
+        checked.append(theta)
+        return check_qfuzzy_subgroup(theta)
+
+    monkeypatch.setattr(lab, "check_qfuzzy_subgroup", check)
+    lab.reproduce_example("4.5")
+    parsed = parse_fuzzy_file((DATA / "example-4.5-theta.fuzzy").read_text())
+    assert parsed == checked[0] and parsed.grades == checked[0].grades
 
 
 def test_render_text_handles_empty_and_failure_blocks():

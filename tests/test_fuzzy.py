@@ -188,7 +188,7 @@ def test_broken_restriction_raises_invariant_error(monkeypatch):
     theta = klein_theta()
     phi = alpha_restrict(theta, F(1, 5))
     monkeypatch.setattr(
-        fuzzy, "alpha_restrict", lambda t, a: AlphaQFuzzySubset(t, a, t.grades)
+        fuzzy, "alpha_restrict", lambda t, a: AlphaQFuzzySubset(t, a, t.columns, t.dens)
     )
     with pytest.raises(InvariantError, match="product"):
         product(phi, phi)

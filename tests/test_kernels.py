@@ -1,4 +1,5 @@
 """The integer kernels against the `Fraction` reference in `fraction_oracle`."""
+import itertools
 import random
 from fractions import Fraction
 from unittest import mock
@@ -16,19 +17,21 @@ from qfuzzy.checks import (
     kernel_set,
 )
 from qfuzzy.fuzzy import (
+    QFuzzySubset,
     achieved_grades,
     alpha_restrict,
     combine,
     compare,
+    complement,
     image_subset,
     level_set,
     make_qfuzzy,
+    preimage_subset,
     product,
 )
 from qfuzzy.grades import (
     GradeError,
-    grade_le,
-    greatest,
+    scale_grades,
     sorted_grades,
     validate_grade,
 )
@@ -39,7 +42,13 @@ from qfuzzy.groups import (
     analyze_subset,
     standard_group,
 )
-from qfuzzy.lab import DEFAULT_CATALOG, DEFAULT_POOL, random_qfuzzy_subgroup
+from qfuzzy.lab import (
+    DEFAULT_CATALOG,
+    DEFAULT_POOL,
+    AuditConfig,
+    random_qfuzzy,
+    random_qfuzzy_subgroup,
+)
 
 F = Fraction
 # mixed denominators, so each column is scaled by a different common one
@@ -306,8 +315,10 @@ def test_map_claim_checks_match_fraction_oracle(case, alpha):
 @given(st.lists(grades, min_size=1, max_size=6))
 def test_grade_order_helpers_match_fraction_order(values):
     assert sorted_grades(values) == sorted(values)
-    assert greatest(values) == max(values)
-    assert [grade_le(a, b) for a in values for b in values] == [
+    scaled, den = scale_grades(values)
+    assert list(scaled) == oracle.scaled_column(values)
+    assert [F(n, den) for n in scaled] == values
+    assert [a <= b for a in scaled for b in scaled] == [
         a <= b for a in values for b in values
     ]
 
@@ -338,17 +349,49 @@ def test_analyze_subset_rejects_bad_elements_as_before():
 # --- the subgroup generator and P3.4's map list -----------------------------------
 
 
+GENERATORS = (
+    (random_qfuzzy_subgroup, oracle.random_qfuzzy_subgroup),
+    (random_qfuzzy, oracle.random_qfuzzy),
+)
+
+
+def assert_generators_match_old_bodies(group, q_labels, seed, pool, old_pool):
+    # both generators in turn on one random generator: after each call, the
+    # same table and the same generator state as the old bodies
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    for new, old in GENERATORS:
+        got = new(group, q_labels, rng, pool)
+        expected = old(group, q_labels, old_rng, old_pool)
+        assert got == expected and got.grades == expected.grades
+        assert rng.getstate() == old_rng.getstate()  # the same draws
+
+
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
 def test_generator_builds_the_tables_of_its_old_body(name):
     group = standard_group(name)
+    pool = AuditConfig().grade_pool  # scaled once, as the audit passes it
     for q_size in (1, 2, 3):
         q_labels = tuple(f"q{i}" for i in range(q_size))
         for seed in range(25):
-            rng, old_rng = random.Random(seed), random.Random(seed)
-            got = random_qfuzzy_subgroup(group, q_labels, rng, DEFAULT_POOL)
-            expected = oracle.random_qfuzzy_subgroup(group, q_labels, old_rng, DEFAULT_POOL)
-            assert got == expected
-            assert rng.getstate() == old_rng.getstate()  # the same draws
+            assert_generators_match_old_bodies(group, q_labels, seed, pool, DEFAULT_POOL)
+
+
+POOLS = {
+    "unsorted": (F(1, 2), F(0), F(9, 100), F(1), F(1, 3)),
+    "duplicates": (F(1, 5), F(1, 5), F(0), F(1, 2), F(1, 2), F(1)),
+    "mixed-denominators": POOL,
+}
+
+
+@pytest.mark.parametrize("kind", POOLS)
+def test_generators_draw_from_any_pool_as_their_old_bodies(kind):
+    pool = POOLS[kind]
+    for name in GROUPS + ("cyclic2", "quaternion8"):
+        group = standard_group(name)
+        for q_size in (1, 2, 3):
+            q_labels = tuple(f"q{i}" for i in range(q_size))
+            for seed in range(8):
+                assert_generators_match_old_bodies(group, q_labels, seed, pool, pool)
 
 
 @given(st.sampled_from(MAP_PAIRS), st.booleans(), grades, st.data())
@@ -393,3 +436,119 @@ def test_map_pairs_repeat_image_arrays():
         assert next(g for g in maps if g.images == f.images) is f
     positions = [maps.index(f) for f in distinct]
     assert positions == sorted(positions)
+
+
+# --- integer columns and their Fraction views -------------------------------------
+#
+# A table's grades are integer columns over per-column denominators; its
+# `Fraction` view is built from them on first read, or is the table it was
+# scaled from.  Every construction path must give the oracle's grades, and
+# columns that read as the view.
+
+# denominators that divide no column's denominator of a DEFAULT_POOL table
+# (100 or a divisor), and few of POOL's: the restriction then rescales
+OFF_DENOMINATOR = (F(1, 3), F(1, 7), F(3, 7), F(5, 11))
+alphas = st.sampled_from(POOL + OFF_DENOMINATOR)
+
+
+def view_of(table):
+    return table.grades if isinstance(table, QFuzzySubset) else table.restricted
+
+
+def assert_same_table(got, expected):
+    """Equal tables, equal `Fraction` views, and integer columns that read
+    as the view over their denominators."""
+    assert got == expected
+    view = view_of(got)
+    assert view == view_of(expected)
+    assert all(type(g) is F for row in view for g in row)
+    columns = [tuple(F(g, den) for g in col) for col, den in zip(got.columns, got.dens)]
+    assert columns == list(zip(*view))
+
+
+@given(st.data(), alphas)
+def test_columns_and_views_agree_on_every_construction_path(data, alpha):
+    theta = data.draw(tables())  # through make_qfuzzy
+    sigma = data.draw(tables(theta.group, theta.q_labels))
+    assert_same_table(theta, QFuzzySubset.from_grades(theta.group, theta.q_labels, theta.grades))
+    phi = alpha_restrict(theta, alpha)
+    assert_same_table(phi, oracle.alpha_restrict(theta, alpha))
+    for kind in ("union", "intersection"):
+        assert_same_table(combine(kind, theta, sigma), oracle.combine(kind, theta, sigma))
+    assert_same_table(complement(theta), oracle.complement(theta))
+    assert_same_table(lab._decode("theta", lab._encode("theta", theta)), theta)
+    assert_same_table(lab._decode("phi", lab._encode("phi", phi)), phi)
+
+
+@given(mapped(), alphas)
+def test_columns_and_views_agree_on_map_and_product_paths(case, alpha):
+    f, theta, sigma = case
+    assert_same_table(image_subset(f, theta), oracle.image_subset(f, theta))
+    assert_same_table(preimage_subset(f, sigma), oracle.preimage_subset(f, sigma))
+    phi, psi = alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)
+    expected = oracle.alpha_restrict(oracle.image_subset(f, theta), alpha)
+    assert_same_table(lab._image_alpha(f, phi), expected)
+    expected = oracle.alpha_restrict(oracle.preimage_subset(f, sigma), alpha)
+    assert_same_table(lab._preimage_alpha(f, psi), expected)
+    assert_same_table(product(phi, psi), oracle.product(phi, psi))
+
+
+@pytest.mark.parametrize("alpha", (F(1, 3), F(1, 7)), ids=str)
+def test_restriction_off_the_pool_denominator_matches_fraction_oracle(alpha):
+    for name in DEFAULT_CATALOG:
+        group = standard_group(name)
+        for seed in range(6):
+            rng = random.Random(seed)
+            for make in (random_qfuzzy_subgroup, random_qfuzzy):
+                theta = make(group, ("q1", "q2"), rng, DEFAULT_POOL)
+                assert theta.dens == (100, 100)
+                phi = alpha_restrict(theta, alpha)
+                assert phi.dens == (100 * alpha.denominator,) * 2
+                assert_same_table(phi, oracle.alpha_restrict(theta, alpha))
+                assert check_alpha_subgroup(phi) == oracle.check_alpha_subgroup(phi)
+                assert check_anti_subgroup(phi) == oracle.check_anti_subgroup(phi)
+                assert kernel_set(phi) == oracle.kernel_set(phi)
+                for q in phi.q_labels:
+                    cuts = oracle.achieved_grades(phi, q)
+                    assert achieved_grades(phi, q) == cuts
+                    for cut in cuts + (alpha, F(1, 10), F(1)):
+                        assert level_set(phi, cut, q) == oracle.level_set(phi, cut, q)
+                assert lab._check_p4_6(phi) == oracle._check_p4_6(phi)
+                assert lab._check_p4_7(phi) == oracle._check_p4_7(phi)
+
+
+def test_tables_are_equal_by_value_whatever_the_denominators():
+    group = standard_group("cyclic2")
+    half = QFuzzySubset(group, ("q",), ((1, 2),), (2,))
+    assert half.grades == ((F(1, 2),), (F(1),))
+    assert half == QFuzzySubset(group, ("q",), ((3, 6),), (6,))
+    assert half.same_grades(QFuzzySubset(group, ("q",), ((3, 6),), (6,)))
+    assert half != QFuzzySubset(group, ("q",), ((1, 2),), (4,))  # same integers
+    assert half != QFuzzySubset(group, ("p",), ((1, 2),), (2,))
+
+
+def scaled_up(fn, factors):
+    """`fn` with each result's integers and denominators multiplied by the
+    next of `factors`: the same grades over other denominators."""
+    factors = itertools.cycle(factors)
+
+    def wrapped(*args):
+        out, m = fn(*args), next(factors)
+        columns = tuple(tuple(g * m for g in col) for col in out.columns)
+        return QFuzzySubset(out.group, out.q_labels, columns, tuple(d * m for d in out.dens))
+
+    return wrapped
+
+
+@given(mapped(), alphas, st.data())
+def test_p3_3_and_p3_4_compare_values_over_different_denominators(case, alpha, data):
+    # the right-hand side of each claim is scaled by 3 (7 for the preimage),
+    # so its denominators carry one more factor 3 (7) than the left-hand
+    # side's: the claims still hold, as they compare grades, not integers
+    f, theta, sigma = case
+    other = data.draw(tables(theta.group, theta.q_labels))
+    with mock.patch.object(lab, "intersection", scaled_up(lab.intersection, (1, 3))):
+        assert lab._check_p3_3(theta, other, alpha) == (True, None)
+    with mock.patch.object(lab, "image_subset", scaled_up(image_subset, (1, 3))), \
+            mock.patch.object(lab, "preimage_subset", scaled_up(preimage_subset, (1, 7))):
+        assert lab._check_p3_4((f,), theta, sigma, alpha) == (True, None, None)
