@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the bounded counterexample searches and print the first witnesses.
+"""Run every bounded counterexample search and print the first witnesses.
 
 Usage: python scripts/find_counterexamples.py
 
@@ -8,12 +8,12 @@ Exits 1 if a witness found does not re-validate.
 import json
 import sys
 
-from qfuzzy.lab import AuditConfig, search_counterexample, validate_witness
+from qfuzzy.lab import SEARCHES, AuditConfig, search_counterexample, validate_witness
 
 
 def main():
     config = AuditConfig()
-    for claim in ("R4.3", "R4.9", "P4.11-literal"):
+    for claim in SEARCHES:
         witness = search_counterexample(claim, config)
         if witness is None:
             print(f"{claim}: no witness in the bounded search space")

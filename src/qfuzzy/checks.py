@@ -61,16 +61,17 @@ def _violation(lhs: int, rhs: int, den: int, at: tuple) -> str:
     return f"lhs = {lhs} < rhs = {rhs} at ({', '.join(at)})"
 
 
-def _closure_condition(t) -> ConditionResult:
-    # grade(xy, q) >= min(grade(x, q), grade(y, q))
-    group, table, dens = t.group, t.group.table, t.dens
+def _pair_condition(t, products) -> ConditionResult:
+    # grade(products[x][y], q) >= min(grade(x, q), grade(y, q)): the closure
+    # over the group's table, the quotient form over its table of x y^-1
+    group, dens = t.group, t.dens
     for k, q in enumerate(t.q_labels):
         col = t.columns[k]
         lo = min(col)  # a pair with an element at lo is bounded by lo: it holds
         live = [x for x, g in enumerate(col) if g > lo]
         for x in live:
             gx = col[x]
-            row = table[x]
+            row = products[x]
             for y in live:
                 gy = col[y]
                 if col[row[y]] < (gx if gx <= gy else gy):
@@ -117,28 +118,6 @@ def _inverse_condition(t) -> ConditionResult:
     return ConditionResult(True)
 
 
-def _quotient_condition(t) -> ConditionResult:
-    # grade(x y^-1, q) >= min(grade(x, q), grade(y, q))
-    group, dens = t.group, t.dens
-    table, inverses = group.table, group.inverses
-    for k, q in enumerate(t.q_labels):
-        col = t.columns[k]
-        lo = min(col)
-        live = [x for x, g in enumerate(col) if g > lo]
-        for x in live:
-            gx = col[x]
-            row = table[x]
-            for y in live:
-                gy = col[y]
-                if col[row[inverses[y]]] < (gx if gx <= gy else gy):
-                    at = (group.label(x), group.label(y), q)
-                    bound = gx if gx <= gy else gy
-                    return ConditionResult(
-                        False, at, _violation(col[row[inverses[y]]], bound, dens[k], at)
-                    )
-    return ConditionResult(True)
-
-
 def _first_failure(*conditions: ConditionResult):
     for cond in conditions:
         if not cond.ok:
@@ -148,7 +127,7 @@ def _first_failure(*conditions: ConditionResult):
 
 def check_qfuzzy_subgroup(theta: QFuzzySubset) -> CheckReport:
     """Q-fuzzy subgroup test on the raw grades."""
-    closure = _closure_condition(theta)
+    closure = _pair_condition(theta, theta.group.table)
     inverse = _inverse_condition(theta)
     witness, detail = _first_failure(closure, inverse)
     return CheckReport(
@@ -166,9 +145,9 @@ def check_alpha_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
     grades) and the single quotient-condition form; the verdict is the
     two-condition one and any disagreement is flagged as an audit event.
     """
-    closure = _closure_condition(phi)
+    closure = _pair_condition(phi, phi.group.table)
     inverse = _inverse_condition(phi)
-    quotient = _quotient_condition(phi)
+    quotient = _pair_condition(phi, phi.group.quotients)
     verdict = closure.ok and inverse.ok
     witness, detail = _first_failure(closure, inverse, quotient)
     return CheckReport(

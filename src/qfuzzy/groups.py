@@ -76,6 +76,11 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def quotients(self) -> tuple[tuple[int, ...], ...]:
+        # quotients[x][y] = x y^-1
+        return tuple(tuple(row[j] for j in self.inverses) for row in self.table)
+
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 

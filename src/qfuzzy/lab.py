@@ -14,6 +14,11 @@ whose statement and proof disagree, or whose literal reading is known to be
 interpretation-dependent, carry status "recorded": the audit reports the
 empirical finding instead of asserting an expected verdict.
 
+The bounded searches (`SEARCHES`: R4.3, R4.9 and P4.11's literal reading)
+are records too, whose inputs come from a lazy candidate space: one loop
+keeps the first input that meets the hypothesis and fails the conclusion,
+and `validate_witness` re-checks a witness as replay re-checks a failure.
+
 Determinism: every trial derives its own generator from
 (seed, claim id, carrier, trial index), so the same AuditConfig always
 produces identical reports regardless of execution order.
@@ -285,6 +290,11 @@ def _restricted_subset(phi: AlphaQFuzzySubset) -> QFuzzySubset:
     return QFuzzySubset(phi.group, phi.q_labels, phi.columns, phi.dens)
 
 
+def _outcome(report):
+    # a check's verdict and first violation, as a conclusion's (ok, detail)
+    return report.verdict, report.detail
+
+
 def _check_p3_3(theta, sigma, alpha):
     lhs = alpha_restrict(intersection(theta, sigma), alpha)
     rhs = intersection(
@@ -320,8 +330,7 @@ def _check_p3_4(maps, theta, sigma, alpha):
 
 
 def _check_p4_2(theta, alpha):
-    report = check_alpha_subgroup(alpha_restrict(theta, alpha))
-    return report.verdict, report.detail
+    return _outcome(check_alpha_subgroup(alpha_restrict(theta, alpha)))
 
 
 def _check_p4_6(phi):
@@ -354,16 +363,10 @@ def _check_p4_7(phi):
     return True, None
 
 
-def _check_p4_8(theta, sigma, alpha):
-    report = check_alpha_subgroup(alpha_restrict(intersection(theta, sigma), alpha))
-    return report.verdict, report.detail
-
-
 def _check_p4_11(phi):
     comp = complement(_restricted_subset(phi))
     anti = check_anti_subgroup(alpha_restrict(comp, ONE))
-    literal = check_qfuzzy_subgroup(comp)
-    return anti.verdict, anti.detail, literal.verdict, literal.detail
+    return (*_outcome(anti), *_outcome(check_qfuzzy_subgroup(comp)))
 
 
 def _check_p4_12(phi):
@@ -374,11 +377,6 @@ def _check_p4_12(phi):
         f"two-condition verdict {report.verdict} disagrees with quotient-form "
         f"verdict {report.conditions['quotient'].ok}"
     )
-
-
-def _check_p4_14(phi, psi):
-    report = check_alpha_subgroup(product(phi, psi))
-    return report.verdict, report.detail
 
 
 def _dominates_identity(phi, psi):
@@ -419,16 +417,6 @@ def _check_r4_16(phi, psi):
         check_alpha_subgroup(phi).verdict or check_alpha_subgroup(psi).verdict
     )
     return disjunction, None if disjunction else "neither factor is a subgroup"
-
-
-def _check_p5_2(f, phi):
-    report = check_alpha_subgroup(_image_alpha(f, phi))
-    return report.verdict, report.detail
-
-
-def _check_p5_4(f, psi):
-    report = check_alpha_subgroup(_preimage_alpha(f, psi))
-    return report.verdict, report.detail
 
 
 def _image_alpha(f, phi):
@@ -482,6 +470,63 @@ def _check_p5_11(f, psi):
     return inclusion, _all_cyclic(theta)
 
 
+# --- search spaces ---------------------------------------------------------------
+#
+# A search claim's space gives, lazily, its candidate inputs on one catalog
+# group in a fixed order: one-label tables over the grade pool (taken
+# lexicographically over the ascending pool), then alpha ascending.  Each
+# space bounds the group orders it enumerates.
+
+
+def _pool_table(group, column, pool: GradePool) -> QFuzzySubset:
+    return QFuzzySubset(group, ("q",), (column,), (pool.den,))
+
+
+def _tables(group, pool: GradePool):
+    # every table, enumerable only at tiny orders
+    if group.order > 4:
+        return
+    for column in itertools.product(pool.scaled, repeat=group.order):
+        theta = _pool_table(group, column, pool)
+        for alpha in pool:
+            yield theta, alpha
+
+
+def _is_fuzzy_subgroup_by_levels(subgroups, column) -> bool:
+    # independent oracle: every achieved level set must be a crisp subgroup
+    for cut in set(column):
+        members = frozenset(x for x, g in enumerate(column) if g >= cut)
+        if members not in subgroups:
+            return False
+    return True
+
+
+def _two_level_pairs(group, pool: GradePool):
+    # pairs of indicator-style tables, hi on a subgroup and lo elsewhere with
+    # hi > lo, restricted at alpha: only those whose union the level-set
+    # oracle finds not a subgroup (Das 1981), so it runs before any check
+    if group.order > 6:
+        return
+    subgroups = all_subgroups(group)
+    lattice = set(subgroups)
+    columns = [
+        tuple(hi if x in sub else lo for x in range(group.order))
+        for sub in subgroups for hi in pool.scaled for lo in pool.scaled if hi > lo
+    ]
+    by_levels = {}  # the oracle's verdict per restricted union column
+    for a in columns:
+        for b in columns:
+            merged = tuple(map(max, a, b))
+            for alpha, cap in zip(pool, pool.scaled):
+                restricted = tuple(g if g <= cap else cap for g in merged)
+                ok = by_levels.get(restricted)
+                if ok is None:
+                    ok = _is_fuzzy_subgroup_by_levels(lattice, restricted)
+                    by_levels[restricted] = ok
+                if not ok:
+                    yield _pool_table(group, a, pool), _pool_table(group, b, pool), alpha
+
+
 # --- the claim table -----------------------------------------------------------
 
 
@@ -503,7 +548,10 @@ class Claim:
     A trial draws the named inputs on a carrier, is filtered when the
     hypothesis fails on them, and otherwise evaluates the conclusion, once
     per enumerated map when the claim has map kinds.  Both take the inputs
-    in the order of `inputs`, the conclusion after the map.  A record holds
+    in the order of `inputs`, the conclusion after the map.  A search claim
+    instead takes its inputs from its space, group by group over the
+    catalog, and its witness is the first that meets the hypothesis and
+    fails the conclusion.  A record holds
     none of the generators, `check_*`/`classify_*` functions or fuzzy
     operations themselves: its callables look those up by their
     module-global names when they run, so a wrapper installed on the module
@@ -525,6 +573,8 @@ class Claim:
     criterion: Callable | None = None  # maps that decide; the others give findings
     split: Callable | None = None  # maps whose findings are also counted apart
     notes: Callable | None = None  # (tally, maps), or the witness of a search
+    space: Callable | None = None  # of a search: (group, pool) -> its inputs, lazily
+    prefiltered: bool = False  # the space yields only inputs its oracle finds failing
 
     def draw(self, left, right, q_labels, rng, pool) -> tuple:
         """The trial's inputs, in the order of `inputs`: the subsets drawn in
@@ -625,7 +675,8 @@ CLAIMS = {
     ),
     "P4.8": Claim(
         "intersection of restricted subgroups is one", "verified", "catalog",
-        draws="subgroup", inputs=("theta", "sigma", "alpha"), conclusion=_check_p4_8,
+        draws="subgroup", inputs=("theta", "sigma", "alpha"),
+        conclusion=lambda theta, sigma, alpha: _check_p4_2(intersection(theta, sigma), alpha),
     ),
     # the proof's reversed inequalities decide; the literal min-form claim
     # for the complement is the finding
@@ -642,7 +693,7 @@ CLAIMS = {
     "P4.14": Claim(
         "product of restricted subgroups is one on the product group", "verified",
         "product_pairs", draws="subgroup", inputs=("phi", "psi"),
-        conclusion=_check_p4_14,
+        conclusion=lambda phi, psi: _outcome(check_alpha_subgroup(product(phi, psi))),
     ),
     "P4.15": Claim(
         "dominant-identity factor recovers the other factor", "verified",
@@ -665,12 +716,16 @@ CLAIMS = {
     "P5.2": Claim(
         "anti-homomorphic image preserves restricted subgroups", "verified",
         "map_pairs", draws="subgroup", inputs=("phi",),
-        map_kinds=(ANTI_HOMOMORPHISM,), conclusion=_check_p5_2, notes=_anti_maps_note,
+        map_kinds=(ANTI_HOMOMORPHISM,),
+        conclusion=lambda f, phi: _outcome(check_alpha_subgroup(_image_alpha(f, phi))),
+        notes=_anti_maps_note,
     ),
     "P5.4": Claim(
         "anti-homomorphic preimage preserves restricted subgroups", "verified",
         "map_pairs", draws="subgroup", inputs=("psi",),
-        map_kinds=(ANTI_HOMOMORPHISM,), conclusion=_check_p5_4, notes=_anti_maps_note,
+        map_kinds=(ANTI_HOMOMORPHISM,),
+        conclusion=lambda f, psi: _outcome(check_alpha_subgroup(_preimage_alpha(f, psi))),
+        notes=_anti_maps_note,
     ),
     # a nonzero identity grade is assumed too: the all-zero subset makes the
     # image kernel swallow elements outside the map's range
@@ -706,15 +761,38 @@ CLAIMS = {
         verdict=_inclusion("pulled level set escapes the preimage level set"),
         split=lambda f: is_injective(f), notes=_cyclic_note("injective"),
     ),
+    # a search's conclusion is the statement its remark denies: a witness
+    # that fails it settles the remark
     "R4.3": Claim(
         "restricted subgroups need not be plain Q-fuzzy subgroups", "verified",
-        "search", notes=_witness_note,
+        "search", inputs=("theta", "alpha"), space=_tables,
+        hypothesis=lambda theta, alpha: _check_p4_2(theta, alpha)[0],
+        conclusion=lambda theta, alpha: _outcome(check_qfuzzy_subgroup(theta)),
+        notes=_witness_note,
     ),
     "R4.9": Claim(
         "unions of restricted subgroups need not be subgroups", "verified", "search",
+        inputs=("theta", "sigma", "alpha"), space=_two_level_pairs, prefiltered=True,
+        hypothesis=lambda theta, sigma, alpha: (
+            _check_p4_2(theta, alpha)[0] and _check_p4_2(sigma, alpha)[0]
+        ),
+        conclusion=lambda theta, sigma, alpha: _check_p4_2(union(theta, sigma), alpha),
         notes=lambda witness: (
             f"{_witness_note(witness)}; union violation: {witness['violation']}"
         ),
+    ),
+}
+
+# every bounded search: the search claims, and the literal reading of P4.11,
+# which the audit records from P4.11's trials
+SEARCHES = {
+    "R4.3": CLAIMS["R4.3"],
+    "R4.9": CLAIMS["R4.9"],
+    "P4.11-literal": Claim(
+        "complement of a restricted subgroup is a Q-fuzzy subgroup (literal)",
+        "recorded", "search", inputs=("theta", "alpha"), space=_tables,
+        hypothesis=lambda theta, alpha: _check_p4_2(theta, alpha)[0],
+        conclusion=lambda theta, alpha: _check_p4_11(alpha_restrict(theta, alpha))[2:],
     ),
 }
 
@@ -844,6 +922,28 @@ def _enumerated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
     return tuple(maps)
 
 
+def search_counterexample(claim_id: str, config: AuditConfig | None = None):
+    """Bounded exhaustive search of one of `SEARCHES`: the witness record of
+    the first input, over the catalog in order and then the claim's space,
+    that meets the hypothesis and fails the conclusion; None on exhaustion."""
+    config = config or AuditConfig()
+    claim = SEARCHES.get(claim_id)
+    if claim is None:
+        raise ValueError(f"unknown search claim {claim_id!r}")
+    for name in config.catalog:
+        for inputs in claim.space(standard_group(name), config.grade_pool):
+            if not claim.hypothesis(*inputs):
+                continue
+            ok, detail = claim.conclusion(*inputs)
+            if not ok:
+                return {"claim": claim_id, **_record(claim, inputs, None, detail)}
+            if claim.prefiltered:
+                raise GeneratorSoundnessError(
+                    f"{claim_id}: the space's oracle disagrees with the subgroup check"
+                )
+    return None
+
+
 def audit(props, config: AuditConfig | None = None) -> list[AuditReport]:
     """Run the audits for the given claim ids, in catalog order."""
     config = config or AuditConfig()
@@ -861,21 +961,36 @@ def audit(props, config: AuditConfig | None = None) -> list[AuditReport]:
 # --- replay -------------------------------------------------------------------
 
 
-def replay_failure(record: dict) -> bool:
-    """Re-evaluate a materialized failure record: True iff the claim's
-    hypothesis holds on the record's inputs, its map is one the pass
-    criterion quantifies over, and the conclusion still fails.  A search
-    claim's record names no inputs and never replays as failing."""
-    claim = CLAIMS.get(record["claim"])
+def _claim_of(claims: dict, record: dict, rule: str) -> Claim:
+    claim = claims.get(record["claim"])
     if claim is None:
-        raise ValueError(f"no replay rule for claim {record['claim']!r}")
-    if claim.carriers == "search":
-        return False
+        raise ValueError(f"no {rule} rule for claim {record['claim']!r}")
+    return claim
+
+
+def _fails_again(claim: Claim, record: dict) -> bool:
+    # True iff the hypothesis holds on the record's decoded inputs and the
+    # conclusion still fails, on the record's map if the claim has maps
     inputs = tuple(_decode(name, record[name]) for name in claim.inputs)
     if claim.hypothesis is not None and not claim.hypothesis(*inputs):
         return False
     maps = (_decode("map", record["map"]),) if claim.map_kinds else ()
     return not _judge(claim, inputs, maps, _Tally())[0]
+
+
+def replay_failure(record: dict) -> bool:
+    """Re-evaluate a materialized failure record: True iff the claim's
+    hypothesis holds on the record's inputs, its map is one the pass
+    criterion quantifies over, and the conclusion still fails.  A search
+    claim's record names no inputs and never replays as failing."""
+    claim = _claim_of(CLAIMS, record, "replay")
+    return claim.carriers != "search" and _fails_again(claim, record)
+
+
+def validate_witness(record: dict) -> bool:
+    """Re-validate a search witness the way `replay_failure` replays a
+    failure: True iff its hypothesis holds and its conclusion still fails."""
+    return _fails_again(_claim_of(SEARCHES, record, "witness"), record)
 
 
 # --- worked-example reproductions ----------------------------------------------
@@ -991,159 +1106,3 @@ def _reproduce_4_10() -> AuditReport:
             "lhs = 1/10 < rhs = 1/5 at (2, 3, q); union(sigma, pi) passes"
         ),
     )
-
-
-# --- counterexample search ------------------------------------------------------
-
-
-def _is_fuzzy_subgroup_by_levels(subgroups, column) -> bool:
-    # independent oracle: every achieved level set must be a crisp subgroup
-    for cut in set(column):
-        members = frozenset(x for x, g in enumerate(column) if g >= cut)
-        if members not in subgroups:
-            return False
-    return True
-
-
-def search_counterexample(claim_id: str, config: AuditConfig | None = None):
-    """Bounded exhaustive search; returns the first witness in documented
-    order (catalog order, then candidate tables lexicographically over the
-    ascending grade pool, then alpha ascending), or None on exhaustion."""
-    config = config or AuditConfig()
-    if claim_id == "R4.3":
-        return _search_r4_3(config)
-    if claim_id == "R4.9":
-        return _search_r4_9(config)
-    if claim_id == "P4.11-literal":
-        return _search_p4_11_literal(config)
-    raise ValueError(f"unknown search claim {claim_id!r}")
-
-
-def _search_r4_3(config):
-    # full grade assignments are enumerable only at tiny orders
-    q = ("q",)
-    for gname in config.catalog:
-        group = standard_group(gname)
-        if group.order > 4:
-            continue
-        for assignment in itertools.product(config.grade_pool, repeat=group.order):
-            theta = make_qfuzzy(group, q, [[g] for g in assignment])
-            if check_qfuzzy_subgroup(theta).verdict:
-                continue
-            for alpha in config.grade_pool:
-                report = check_alpha_subgroup(alpha_restrict(theta, alpha))
-                if report.verdict:
-                    return {
-                        "claim": "R4.3",
-                        "theta": _encode("theta", theta),
-                        "alpha": _encode("alpha", alpha),
-                        "violation": check_qfuzzy_subgroup(theta).detail,
-                    }
-    return None
-
-
-def _two_level_candidates(group, pool: GradePool):
-    # indicator-style tables: hi on a subgroup, lo elsewhere, hi > lo; each
-    # as grades and as integers over the pool's denominator
-    ranked = list(zip(pool, pool.scaled))
-    candidates = []
-    for sub in all_subgroups(group):
-        inside = [x in sub for x in range(group.order)]
-        for hi in ranked:
-            for lo in ranked:
-                if hi[1] > lo[1]:
-                    candidates.append(tuple(zip(*[hi if i else lo for i in inside])))
-    return candidates
-
-
-def _search_r4_9(config):
-    q = ("q",)
-    pool = config.grade_pool
-    for gname in config.catalog:
-        group = standard_group(gname)
-        if group.order > 6:
-            continue
-        subgroups = set(all_subgroups(group))
-        candidates = _two_level_candidates(group, pool)
-        for col_a, int_a in candidates:
-            for col_b, int_b in candidates:
-                merged = tuple(map(max, int_a, int_b))
-                # the oracle compares grades as integers over the pool's denominator
-                for alpha, cap in zip(pool, pool.scaled):
-                    restricted = [g if g <= cap else cap for g in merged]
-                    if _is_fuzzy_subgroup_by_levels(subgroups, restricted):
-                        continue
-                    # two-level tables restrict to subgroups for any alpha;
-                    # confirm everything through the checking module
-                    theta = make_qfuzzy(group, q, [[g] for g in col_a])
-                    sigma = make_qfuzzy(group, q, [[g] for g in col_b])
-                    if not check_alpha_subgroup(alpha_restrict(theta, alpha)).verdict:
-                        continue
-                    if not check_alpha_subgroup(alpha_restrict(sigma, alpha)).verdict:
-                        continue
-                    union_report = check_alpha_subgroup(
-                        alpha_restrict(union(theta, sigma), alpha)
-                    )
-                    if union_report.verdict:
-                        raise GeneratorSoundnessError(
-                            "level-set oracle disagrees with the subgroup check"
-                        )
-                    return {
-                        "claim": "R4.9",
-                        "theta": _encode("theta", theta),
-                        "sigma": _encode("sigma", sigma),
-                        "alpha": _encode("alpha", alpha),
-                        "violation": union_report.detail,
-                    }
-    return None
-
-
-def _search_p4_11_literal(config):
-    q = ("q",)
-    for gname in config.catalog:
-        group = standard_group(gname)
-        if group.order > 4:
-            continue
-        for assignment in itertools.product(config.grade_pool, repeat=group.order):
-            theta = make_qfuzzy(group, q, [[g] for g in assignment])
-            for alpha in config.grade_pool:
-                phi = alpha_restrict(theta, alpha)
-                if not check_alpha_subgroup(phi).verdict:
-                    continue
-                literal = check_qfuzzy_subgroup(complement(_restricted_subset(phi)))
-                if not literal.verdict:
-                    return {
-                        "claim": "P4.11-literal",
-                        "theta": _encode("theta", theta),
-                        "alpha": _encode("alpha", alpha),
-                        "violation": literal.detail,
-                    }
-    return None
-
-
-def validate_witness(record: dict) -> bool:
-    """Re-validate a search witness through the checking module."""
-    claim = record["claim"]
-    alpha = _decode("alpha", record["alpha"])
-    if claim == "R4.3":
-        theta = _decode("theta", record["theta"])
-        return (
-            not check_qfuzzy_subgroup(theta).verdict
-            and check_alpha_subgroup(alpha_restrict(theta, alpha)).verdict
-        )
-    if claim == "R4.9":
-        theta = _decode("theta", record["theta"])
-        sigma = _decode("sigma", record["sigma"])
-        return (
-            check_alpha_subgroup(alpha_restrict(theta, alpha)).verdict
-            and check_alpha_subgroup(alpha_restrict(sigma, alpha)).verdict
-            and not check_alpha_subgroup(alpha_restrict(union(theta, sigma), alpha)).verdict
-        )
-    if claim == "P4.11-literal":
-        theta = _decode("theta", record["theta"])
-        phi = alpha_restrict(theta, alpha)
-        return (
-            check_alpha_subgroup(phi).verdict
-            and not check_qfuzzy_subgroup(complement(_restricted_subset(phi))).verdict
-        )
-    raise ValueError(f"unknown witness claim {claim!r}")

@@ -136,6 +136,68 @@ def test_search_unknown_claim_rejected():
         search_counterexample("P1.1", SMALL)
 
 
+def pinned(claim, group, alpha, violation, **tables):
+    # a witness on a cyclic group, whose elements are labelled 0, 1, ...
+    subsets = {
+        name: {
+            "group": group,
+            "q_labels": ["q"],
+            "grades": {str(x): {"q": g} for x, g in enumerate(grades)},
+        }
+        for name, grades in tables.items()
+    }
+    return {"claim": claim, **subsets, "alpha": alpha, "violation": violation}
+
+
+DEFAULT_WITNESSES = {
+    "R4.3": pinned(
+        "R4.3", "cyclic2", "0", "lhs = 0 < rhs = 9/100 at (1, 1, q)",
+        theta=["0", "9/100"],
+    ),
+    "R4.9": pinned(
+        "R4.9", "cyclic6", "9/100", "lhs = 0 < rhs = 9/100 at (2, 3, q)",
+        theta=["9/100", "0", "0", "9/100", "0", "0"],
+        sigma=["9/100", "0", "9/100", "0", "9/100", "0"],
+    ),
+    "P4.11-literal": pinned(
+        "P4.11-literal", "cyclic2", "9/100", "lhs = 91/100 < rhs = 1 at (1, 1, q)",
+        theta=["9/100", "0"],
+    ),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(DEFAULT_WITNESSES))
+def test_default_search_witnesses_are_pinned(claim):
+    # the whole record, key order included, at the default config
+    witness = search_counterexample(claim, AuditConfig())
+    assert list(witness.items()) == list(DEFAULT_WITNESSES[claim].items())
+    assert validate_witness(witness)
+
+
+def test_validate_witness_rejects_inputs_that_no_longer_refute():
+    r49 = dict(DEFAULT_WITNESSES["R4.9"], sigma=DEFAULT_WITNESSES["R4.9"]["theta"])
+    assert not validate_witness(r49)  # a union with itself is a subgroup
+    r43 = dict(DEFAULT_WITNESSES["R4.3"], alpha="9/100")
+    assert not validate_witness(r43)  # the restriction is no subgroup: no hypothesis
+    p411 = pinned("P4.11-literal", "cyclic2", "9/100", "synthetic", theta=["9/100", "9/100"])
+    assert not validate_witness(p411)  # a constant's complement is a subgroup
+
+
+def test_search_oracle_disagreement_is_loud(monkeypatch):
+    # the level-set oracle only prefilters: a candidate it flags whose union
+    # the subgroup check accepts is an error, not a skipped candidate
+    monkeypatch.setattr(lab, "_is_fuzzy_subgroup_by_levels", lambda subgroups, column: False)
+    with pytest.raises(lab.GeneratorSoundnessError):
+        search_counterexample("R4.9", SMALL)
+
+
+def test_validate_witness_rejects_an_unknown_claim_before_decoding():
+    with pytest.raises(ValueError, match="'P9.9'"):
+        validate_witness({"claim": "P9.9"})
+    with pytest.raises(ValueError, match="'P4.2'"):
+        validate_witness({"claim": "P4.2"})  # a trial claim, not a search
+
+
 def test_replay_failure_round_trip():
     failing = {
         "claim": "P4.2",
