@@ -3,14 +3,16 @@
 Exit-status contract:
   0   success / verified
   1   verdict false for a single fuzzy-set check
-  2   audit failures on claims expected to verify, or a diverging
-      worked-example reproduction
+  2   audit failures on claims expected to verify, a diverging
+      worked-example reproduction, or a search without a witness that
+      re-validates
   64  usage errors (unknown commands, flags, claim ids, group specs)
   65  input files that are missing or fail to parse
 """
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -27,10 +29,13 @@ from .checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from .lab import (
     CLAIM_ORDER,
     EXPECTED_VERIFIED,
+    SEARCHES,
     AuditConfig,
     ReproductionError,
     audit,
     reproduce_example,
+    search_counterexample,
+    validate_witness,
 )
 from .reports import render_structured, render_text
 
@@ -67,15 +72,14 @@ def _build_parser() -> _Parser:
         "--alpha", help="threshold grade; restricted check when given"
     )
 
-    check = commands.add_parser("check", help="audit a single claim")
-    check.add_argument("--prop", required=True, help="claim id, e.g. P4.2")
-    _add_audit_flags(check)
-
     audit_cmd = commands.add_parser("audit", help="audit many claims")
     target = audit_cmd.add_mutually_exclusive_group(required=True)
     target.add_argument("--all", action="store_true", help="audit every claim")
     target.add_argument("--props", nargs="+", help="specific claim ids")
     _add_audit_flags(audit_cmd)
+
+    search = commands.add_parser("search", help="run bounded counterexample searches")
+    search.add_argument("claims", nargs="*", help="search ids (default: all)")
 
     examples = commands.add_parser("examples", help="re-run worked examples")
     examples_sub = examples.add_subparsers(dest="subcommand", required=True)
@@ -104,13 +108,16 @@ def _config_from_args(args) -> AuditConfig:
         if args.pool:
             kwargs["grade_pool"] = tuple(parse_grade(lit) for lit in args.pool)
         return AuditConfig(**kwargs)
-    except (GradeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc))
 
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text)
+        try:
+            Path(out_path).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -130,7 +137,7 @@ def _read_file(path: str) -> str:
 
 def _cmd_group_show(args) -> int:
     try:
-        is_path = Path(args.spec).exists()
+        is_path = Path(args.spec).is_file()
     except OSError:  # e.g. a name too long to look up: not a file
         is_path = False
     if is_path:
@@ -171,10 +178,10 @@ def _cmd_fuzzy_check(args) -> int:
     return EXIT_OK if report.verdict else EXIT_VERDICT_FALSE
 
 
-def _run_audit(props, args) -> int:
+def _cmd_audit(args) -> int:
     config = _config_from_args(args)
     try:
-        reports = audit(props, config)
+        reports = audit(CLAIM_ORDER if args.all else args.props, config)
     except ValueError as exc:
         raise UsageError(str(exc))
     _emit(_render(reports, args.format), args.out)
@@ -184,13 +191,27 @@ def _run_audit(props, args) -> int:
     return EXIT_AUDIT_FAILED if expected_failures else EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    return _run_audit({args.prop}, args)
-
-
-def _cmd_audit(args) -> int:
-    props = set(CLAIM_ORDER) if args.all else set(args.props)
-    return _run_audit(props, args)
+def _cmd_search(args) -> int:
+    unknown = sorted(set(args.claims) - set(SEARCHES))
+    if unknown:
+        raise UsageError(f"unknown search ids: {unknown}")
+    config = AuditConfig()
+    failed = False
+    for claim in SEARCHES:
+        if args.claims and claim not in args.claims:
+            continue
+        witness = search_counterexample(claim, config)
+        if witness is None:
+            sys.stderr.write(f"{claim}: no witness in the bounded search space\n")
+            failed = True
+            continue
+        text = json.dumps(witness, sort_keys=True, indent=2)
+        if validate_witness(witness):
+            sys.stdout.write(f"{claim}: witness found and re-validated\n{text}\n")
+        else:
+            sys.stderr.write(f"{claim}: witness found but does not re-validate\n{text}\n")
+            failed = True
+    return EXIT_AUDIT_FAILED if failed else EXIT_OK
 
 
 def _cmd_examples_reproduce(args) -> int:
@@ -211,21 +232,18 @@ def main(argv=None) -> int:
             return _cmd_group_show(args)
         if args.command == "fuzzy":
             return _cmd_fuzzy_check(args)
-        if args.command == "check":
-            return _cmd_check(args)
         if args.command == "audit":
             return _cmd_audit(args)
+        if args.command == "search":
+            return _cmd_search(args)
         if args.command == "examples":
             return _cmd_examples_reproduce(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except (FileFormatError,) as exc:
-        sys.stderr.write(f"input error: {exc}\n")
-        return EXIT_DATA
-    except (GradeError, GroupError, CarrierError) as exc:
-        # bad literals or structures inside otherwise readable inputs
+    except (FileFormatError, GradeError, GroupError, CarrierError) as exc:
+        # unreadable inputs, or bad literals or structures inside readable ones
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_DATA
 

@@ -1,21 +1,27 @@
 import json
+import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
-from qfuzzy.lab import AuditConfig, audit
+import qfuzzy
+from qfuzzy.lab import SEARCHES, AuditConfig, audit, search_counterexample
 from qfuzzy.reports import parse_structured, render_structured, render_text
 
 DATA = Path(__file__).resolve().parent.parent / "data"
+# absolute, so that a child run in another directory still imports qfuzzy
+PACKAGE_ROOT = str(Path(qfuzzy.__file__).resolve().parent.parent)
 
 
 def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "qfuzzy", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -35,6 +41,13 @@ def test_group_show_name_too_long_for_a_path_is_usage_error():
     assert result.returncode == 64
     assert "Traceback" not in result.stderr
     assert "usage error" in result.stderr
+
+
+def test_group_show_catalog_name_beside_a_directory_of_that_name(tmp_path):
+    (tmp_path / "klein4").mkdir()
+    result = run_cli("group", "show", "klein4", cwd=tmp_path)
+    assert result.returncode == 0
+    assert "e a b c" in result.stdout
 
 
 def test_group_show_file_round_trip(tmp_path):
@@ -119,7 +132,7 @@ def test_fuzzy_check_bad_grade_exits_65(tmp_path):
 
 def test_check_single_claim():
     result = run_cli(
-        "check", "--prop", "P4.2", "--trials", "5", "--catalog", "cyclic2"
+        "audit", "--props", "P4.2", "--trials", "5", "--catalog", "cyclic2"
     )
     assert result.returncode == 0
     assert "P4.2" in result.stdout
@@ -140,7 +153,7 @@ def test_order_cap_refuses_huge_groups_fast(tmp_path):
         )
 
     for spec in ("cyclic5000", "cyclic100xcyclic100"):
-        result = refused("check", "--prop", "P4.2", "--catalog", spec, "--trials", "1")
+        result = refused("audit", "--props", "P4.2", "--catalog", spec, "--trials", "1")
         assert result.returncode == 64
         assert "cap" in result.stderr
     path = tmp_path / "huge.fuzzy"
@@ -150,8 +163,39 @@ def test_order_cap_refuses_huge_groups_fast(tmp_path):
 
 
 def test_check_unknown_claim_is_usage_error():
-    result = run_cli("check", "--prop", "P9.9")
+    result = run_cli("audit", "--props", "P9.9")
     assert result.returncode == 64
+    result = run_cli("check", "--prop", "P4.2")  # the command folded into audit
+    assert result.returncode == 64 and "invalid choice: 'check'" in result.stderr
+
+
+def test_search_prints_every_revalidated_witness():
+    result = run_cli("search")
+    assert result.returncode == 0
+    expected = "".join(
+        f"{claim}: witness found and re-validated\n"
+        + json.dumps(search_counterexample(claim), sort_keys=True, indent=2) + "\n"
+        for claim in SEARCHES
+    )
+    assert result.stdout == expected
+
+
+def test_search_unknown_id_is_usage_error():
+    result = run_cli("search", "R4.3", "P9.9")
+    assert result.returncode == 64
+    assert "P9.9" in result.stderr and result.stdout == ""
+
+
+def test_search_without_a_revalidated_witness_exits_2(monkeypatch, capsys):
+    from qfuzzy import cli
+
+    monkeypatch.setattr(cli, "validate_witness", lambda witness: False)
+    assert cli.main(["search", "R4.3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not re-validate" in captured.err
+    monkeypatch.setattr(cli, "search_counterexample", lambda claim, config: None)
+    assert cli.main(["search", "R4.3"]) == 2
+    assert "no witness" in capsys.readouterr().err
 
 
 def test_audit_requires_target_selection():
@@ -165,6 +209,17 @@ def test_audit_bad_pool_literal_is_usage_error():
         "--pool", "0", "1.5",
     )
     assert result.returncode == 64
+
+
+def test_audit_unwritable_out_path_is_usage_error(tmp_path):
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        result = run_cli(
+            "audit", "--props", "P4.2", "--trials", "2", "--catalog", "cyclic2",
+            "--out", str(out),
+        )
+        assert result.returncode == 64
+        assert str(out) in result.stderr and "Traceback" not in result.stderr
+    assert "Is a directory" in result.stderr
 
 
 def test_audit_structured_output_round_trips(tmp_path):
