@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import format_grade
-from .fuzzy import AlphaQFuzzySubset, QFuzzySubset, achieved_grades, level_set
+from .fuzzy import QFuzzySubset, achieved_grades, level_set
 from .groups import analyze_subset
 
 
@@ -125,53 +125,45 @@ def _first_failure(*conditions: ConditionResult):
     return None, None
 
 
+def _report(**conditions: ConditionResult) -> CheckReport:
+    # the verdict is that every condition holds; the witness, the first that fails
+    witness, detail = _first_failure(*conditions.values())
+    return CheckReport(all([c.ok for c in conditions.values()]), conditions, witness, detail)
+
+
+def _subgroup_report(t) -> CheckReport:
+    # the two conditions; the public checks call this, not each other, so a
+    # wrapper around one never sees the other's calls
+    return _report(closure=_pair_condition(t, t.group.table), inverse=_inverse_condition(t))
+
+
 def check_qfuzzy_subgroup(theta: QFuzzySubset) -> CheckReport:
-    """Q-fuzzy subgroup test on the raw grades."""
-    closure = _pair_condition(theta, theta.group.table)
-    inverse = _inverse_condition(theta)
-    witness, detail = _first_failure(closure, inverse)
-    return CheckReport(
-        verdict=closure.ok and inverse.ok,
-        conditions={"closure": closure, "inverse": inverse},
-        witness=witness,
-        detail=detail,
-    )
+    """Q-fuzzy subgroup test: closure and inverse on the table's grades.  On
+    a restriction by alpha it is the alpha-subgroup test."""
+    return _subgroup_report(theta)
 
 
-def check_alpha_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
-    """Threshold-restricted subgroup test, in both equivalent forms.
+def check_alpha_subgroup(phi: QFuzzySubset) -> CheckReport:
+    """The subgroup test, with the single quotient-condition form as well.
 
-    Evaluates the two-condition form (closure + inverse on the restricted
-    grades) and the single quotient-condition form; the verdict is the
-    two-condition one and any disagreement is flagged as an audit event.
+    The verdict is the two-condition one; the quotient form is scanned
+    after it, its first violation is the witness when the two conditions
+    hold, and any disagreement is flagged as an audit event.
     """
-    closure = _pair_condition(phi, phi.group.table)
-    inverse = _inverse_condition(phi)
+    report = _subgroup_report(phi)
     quotient = _pair_condition(phi, phi.group.quotients)
-    verdict = closure.ok and inverse.ok
-    witness, detail = _first_failure(closure, inverse, quotient)
-    return CheckReport(
-        verdict=verdict,
-        conditions={"closure": closure, "inverse": inverse, "quotient": quotient},
-        witness=witness,
-        detail=detail,
-        forms_agree=(verdict == quotient.ok),
-    )
+    report.conditions["quotient"] = quotient
+    if report.witness is None:
+        report.witness, report.detail = quotient.witness, quotient.detail
+    report.forms_agree = report.verdict == quotient.ok
+    return report
 
 
-def check_anti_subgroup(phi: AlphaQFuzzySubset) -> CheckReport:
+def check_anti_subgroup(phi: QFuzzySubset) -> CheckReport:
     """Reversed inequalities: grade(xy) <= max(grade(x), grade(y)) plus
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
-    anti = _anti_closure_condition(phi)
-    inverse = _inverse_condition(phi)
-    witness, detail = _first_failure(anti, inverse)
-    return CheckReport(
-        verdict=anti.ok and inverse.ok,
-        conditions={"anti_closure": anti, "inverse": inverse},
-        witness=witness,
-        detail=detail,
-    )
+    return _report(anti_closure=_anti_closure_condition(phi), inverse=_inverse_condition(phi))
 
 
 @dataclass(frozen=True)
@@ -179,7 +171,7 @@ class KernelSet:
     per_label: dict[str, frozenset[int]]
 
 
-def kernel_set(phi: AlphaQFuzzySubset) -> KernelSet:
+def kernel_set(phi: QFuzzySubset) -> KernelSet:
     """Per q label: elements whose grade equals the identity's grade."""
     e = phi.group.identity
     per_label = {}
@@ -201,7 +193,7 @@ class AbelianSlice:
         return self.is_subgroup and self.is_abelian
 
 
-def classify_abelian(phi: AlphaQFuzzySubset) -> dict[str, AbelianSlice]:
+def classify_abelian(phi: QFuzzySubset) -> dict[str, AbelianSlice]:
     """Per q label: is the kernel-style set an abelian crisp subgroup?"""
     kernels = kernel_set(phi).per_label
     out = {}
@@ -231,7 +223,7 @@ class CyclicSlice:
         )
 
 
-def classify_cyclic(phi: AlphaQFuzzySubset) -> dict[str, CyclicSlice]:
+def classify_cyclic(phi: QFuzzySubset) -> dict[str, CyclicSlice]:
     """Per q label: every nonempty level set at an achieved cut (plus 0)
     must be a cyclic crisp subgroup.  Finitely many grades determine all
     level sets, so only achieved cuts are scanned; empty level sets are

@@ -8,11 +8,14 @@ Exit-status contract:
       re-validates
   64  usage errors (unknown commands, flags, claim ids, group specs)
   65  input files that are missing or fail to parse
+  141 stdout's reader closed the pipe early (128 + SIGPIPE, as shells report)
 """
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +47,7 @@ EXIT_VERDICT_FALSE = 1
 EXIT_AUDIT_FAILED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_BROKEN_PIPE = 141
 
 
 class UsageError(Exception):
@@ -110,6 +114,24 @@ def _config_from_args(args) -> AuditConfig:
         return AuditConfig(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc))
+
+
+def _check_writable(out_path: str) -> None:
+    # refuse, before any work, a path the write would fail on, with its
+    # message; the file is neither opened nor truncated before the write
+    path = Path(out_path)
+    try:
+        if path.is_dir():
+            code = errno.EISDIR
+        elif not path.parent.is_dir():
+            code = errno.ENOENT
+        elif not os.access(path.parent, os.W_OK):
+            code = errno.EACCES
+        else:
+            return
+    except OSError as exc:  # e.g. a name too long to look up
+        code = exc.errno
+    raise UsageError(f"cannot write {out_path}: {os.strerror(code)}")
 
 
 def _emit(text: str, out_path):
@@ -180,6 +202,8 @@ def _cmd_fuzzy_check(args) -> int:
 
 def _cmd_audit(args) -> int:
     config = _config_from_args(args)
+    if args.out:
+        _check_writable(args.out)
     try:
         reports = audit(CLAIM_ORDER if args.all else args.props, config)
     except ValueError as exc:
@@ -224,21 +248,28 @@ def _cmd_examples_reproduce(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "group": _cmd_group_show,
+    "fuzzy": _cmd_fuzzy_check,
+    "audit": _cmd_audit,
+    "search": _cmd_search,
+    "examples": _cmd_examples_reproduce,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "group":
-            return _cmd_group_show(args)
-        if args.command == "fuzzy":
-            return _cmd_fuzzy_check(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "search":
-            return _cmd_search(args)
-        if args.command == "examples":
-            return _cmd_examples_reproduce(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
+    except BrokenPipeError:
+        # stdout's unwritten rest then goes to devnull in the exit flush, quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

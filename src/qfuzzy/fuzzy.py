@@ -2,13 +2,14 @@
 
 A Q-fuzzy subset assigns an exact rational grade in [0, 1] to every
 (element, q-label) pair.  The threshold restriction by alpha replaces each
-grade with min(grade, alpha).  All operations are pure and exact.
+grade with min(grade, alpha); it is a Q-fuzzy subset too, one that also
+holds the table it restricts and alpha.  All operations are pure and exact.
 
 A table's working form is its integer columns: `columns[k][x]` is the grade
 of element x at the k-th q label as a numerator over `dens[k]`.  Operations
 build their results' columns from their operands' columns; the `Fraction`
-table (`grades`, `restricted`) is a view built on first read, for parsing,
-formatting, the codec and witnesses.
+table `grades` is a view built on first read, for parsing, formatting, the
+codec and witnesses.
 """
 from __future__ import annotations
 
@@ -49,14 +50,33 @@ def _pairwise(a, b, merge):
     return tuple(columns), tuple(dens)
 
 
-class _GradeTable:
-    """Integer columns, `columns[k][x]` over `dens[k]`, with a `Fraction`
-    view built on first read.  Tables are equal when their carriers and
-    grades are, whatever the denominators."""
+@dataclass(eq=False, slots=True)
+class QFuzzySubset:
+    """Integer columns, `columns[k][x]` over `dens[k]`, with the `Fraction`
+    view `grades[element][q_index]` built on first read.  A restriction
+    holds the table it restricts as `base` and its `alpha`; both are None on
+    an unrestricted table.  Tables are equal when their group, q labels,
+    base and alpha are and so are their grades, whatever the denominators."""
 
-    __slots__ = ()
+    group: FiniteGroup
+    q_labels: tuple[str, ...]
+    columns: tuple[tuple[int, ...], ...]
+    dens: tuple[int, ...]
+    base: QFuzzySubset | None = None
+    alpha: Fraction | None = None
+    _view: tuple | None = field(default=None, repr=False)
 
-    def _fractions(self) -> tuple[tuple[Fraction, ...], ...]:
+    @classmethod
+    def from_grades(cls, group, q_labels, grades) -> QFuzzySubset:
+        """From `grades[element][q_index]`, `Fraction`s taken as given; see
+        `make_qfuzzy` for the validating constructor."""
+        view = tuple(map(tuple, grades))
+        scaled = [scale_grades(column) for column in zip(*view)]
+        columns, dens = tuple([c for c, _ in scaled]), tuple([d for _, d in scaled])
+        return cls(group, q_labels, columns, dens, _view=view)
+
+    @property
+    def grades(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._view is None:
             self._view = tuple(zip(*[
                 [Fraction(g, den) for g in column]
@@ -67,7 +87,13 @@ class _GradeTable:
     def grade(self, x: int, k: int) -> Fraction:
         return Fraction(self.columns[k][x], self.dens[k])
 
-    def same_grades(self, other: _GradeTable) -> bool:
+    def q_index(self, label: str) -> int:
+        try:
+            return self.q_labels.index(label)
+        except ValueError:
+            raise CarrierError(f"unknown q label {label!r}") from None
+
+    def same_grades(self, other: QFuzzySubset) -> bool:
         """Every grade equals the other table's, on a carrier of the same
         size, whatever the denominators."""
         return len(self.columns) == len(other.columns) and all(
@@ -78,58 +104,11 @@ class _GradeTable:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._carrier() == other._carrier() and self.same_grades(other)
-
-
-@dataclass(eq=False, slots=True)
-class QFuzzySubset(_GradeTable):
-    group: FiniteGroup
-    q_labels: tuple[str, ...]
-    columns: tuple[tuple[int, ...], ...]
-    dens: tuple[int, ...]
-    _view: tuple | None = field(default=None, repr=False)
-
-    @classmethod
-    def from_grades(cls, group, q_labels, grades) -> QFuzzySubset:
-        """From `grades[element][q_index]`, `Fraction`s taken as given; see
-        `make_qfuzzy` for the validating constructor."""
-        view = tuple(map(tuple, grades))
-        scaled = [scale_grades(column) for column in zip(*view)]
-        columns, dens = tuple([c for c, _ in scaled]), tuple([d for _, d in scaled])
-        return cls(group, q_labels, columns, dens, view)
-
-    grades = property(_GradeTable._fractions)  # grades[element][q_index]
-
-    def _carrier(self):
-        return self.group, self.q_labels
-
-    def q_index(self, label: str) -> int:
-        try:
-            return self.q_labels.index(label)
-        except ValueError:
-            raise CarrierError(f"unknown q label {label!r}") from None
-
-
-@dataclass(eq=False, slots=True)
-class AlphaQFuzzySubset(_GradeTable):
-    base: QFuzzySubset
-    alpha: Fraction
-    columns: tuple[tuple[int, ...], ...]  # restricted
-    dens: tuple[int, ...]
-    _view: tuple | None = field(default=None, repr=False)
-
-    restricted = property(_GradeTable._fractions)
-
-    def _carrier(self):
-        return self.base, self.alpha
-
-    @property
-    def group(self) -> FiniteGroup:
-        return self.base.group
-
-    @property
-    def q_labels(self) -> tuple[str, ...]:
-        return self.base.q_labels
+        return (
+            (self.group, self.q_labels, self.base, self.alpha)
+            == (other.group, other.q_labels, other.base, other.alpha)
+            and self.same_grades(other)
+        )
 
 
 def make_qfuzzy(group: FiniteGroup, q_labels, grades) -> QFuzzySubset:
@@ -165,7 +144,8 @@ def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) ->
     return make_qfuzzy(group, q_labels, rows)
 
 
-def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
+def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:
+    """min(grade, alpha) everywhere, as a table holding theta and alpha."""
     alpha = validate_grade(alpha)
     a, b = alpha.as_integer_ratio()
     columns, dens = [], []
@@ -178,7 +158,7 @@ def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
             column = tuple([g if g <= cap else cap for g in column])
         columns.append(column)
         dens.append(den)
-    return AlphaQFuzzySubset(theta, alpha, tuple(columns), tuple(dens))
+    return QFuzzySubset(theta.group, theta.q_labels, tuple(columns), tuple(dens), theta, alpha)
 
 
 def _require_shared_carrier(a, b) -> None:
@@ -227,12 +207,15 @@ def complement(theta: QFuzzySubset) -> QFuzzySubset:
     return QFuzzySubset(theta.group, theta.q_labels, columns, theta.dens)
 
 
-def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
+def product(phi: QFuzzySubset, psi: QFuzzySubset) -> QFuzzySubset:
     """Grade at ((x, x'), q) = min(phi(x, q), psi(x', q)) over the direct product.
 
-    Both factors must share q labels and the same alpha; min commutes with the
-    restriction, so the result's base is the pointwise min of the bases.
+    Both factors must be restrictions sharing q labels and alpha; min
+    commutes with the restriction, so the result's base is the pointwise min
+    of the bases.
     """
+    if phi.base is None or psi.base is None:
+        raise CarrierError("product factors must be restrictions")
     if phi.q_labels != psi.q_labels:
         raise CarrierError("product factors have different q labels")
     if phi.alpha.as_integer_ratio() != psi.alpha.as_integer_ratio():
@@ -280,17 +263,17 @@ def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
     return QFuzzySubset(f.source, sigma.q_labels, columns, sigma.dens)
 
 
-def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
-    """{ x : restricted grade(x, q) >= c }."""
+def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
+    """{ x : grade(x, q) >= c }."""
     n, d = validate_grade(c).as_integer_ratio()
-    k = phi.base.q_index(q_label)
+    k = phi.q_index(q_label)
     cut = n * phi.dens[k]  # g / den >= n / d iff g * d >= n * den
     return frozenset([x for x, g in enumerate(phi.columns[k]) if g * d >= cut])
 
 
-def achieved_grades(phi: AlphaQFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
-    """Distinct restricted grades for one q label, plus 0, ascending."""
-    k = phi.base.q_index(q_label)
+def achieved_grades(phi: QFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
+    """Distinct grades for one q label, plus 0, ascending."""
+    k = phi.q_index(q_label)
     den = phi.dens[k]
     return tuple([Fraction(g, den) for g in sorted({0, *phi.columns[k]})])
 

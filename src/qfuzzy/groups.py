@@ -99,6 +99,10 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
 
+    def __hash__(self) -> int:
+        # cheap for the lru_caches keyed by groups; equal groups hash equal
+        return hash((self.name, self.order))
+
 
 def build_group(name: str, element_names, table) -> FiniteGroup:
     """Validate a Cayley table and compute identity and inverses.

@@ -54,7 +54,6 @@ from .groups import (
     standard_group,
 )
 from .fuzzy import (
-    AlphaQFuzzySubset,
     QFuzzySubset,
     achieved_grades,
     alpha_restrict,
@@ -286,10 +285,6 @@ def _decode(name: str, payload):
 # the hypotheses are the predicates next to them.
 
 
-def _restricted_subset(phi: AlphaQFuzzySubset) -> QFuzzySubset:
-    return QFuzzySubset(phi.group, phi.q_labels, phi.columns, phi.dens)
-
-
 def _outcome(report):
     # a check's verdict and first violation, as a conclusion's (ok, detail)
     return report.verdict, report.detail
@@ -297,10 +292,7 @@ def _outcome(report):
 
 def _check_p3_3(theta, sigma, alpha):
     lhs = alpha_restrict(intersection(theta, sigma), alpha)
-    rhs = intersection(
-        _restricted_subset(alpha_restrict(theta, alpha)),
-        _restricted_subset(alpha_restrict(sigma, alpha)),
-    )
+    rhs = intersection(alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha))
     if lhs.same_grades(rhs):
         return True, None
     return False, "restriction of intersection differs from intersection of restrictions"
@@ -317,8 +309,8 @@ def _first_per_image(maps) -> tuple[GroupMap, ...]:
 
 def _check_p3_4(maps, theta, sigma, alpha):
     # returns (ok, violation detail, first failing map)
-    restricted_theta = _restricted_subset(alpha_restrict(theta, alpha))
-    restricted_sigma = _restricted_subset(alpha_restrict(sigma, alpha))
+    restricted_theta = alpha_restrict(theta, alpha)
+    restricted_sigma = alpha_restrict(sigma, alpha)
     for f in maps:
         lhs = alpha_restrict(image_subset(f, theta), alpha)
         if not lhs.same_grades(image_subset(f, restricted_theta)):
@@ -330,7 +322,7 @@ def _check_p3_4(maps, theta, sigma, alpha):
 
 
 def _check_p4_2(theta, alpha):
-    return _outcome(check_alpha_subgroup(alpha_restrict(theta, alpha)))
+    return _outcome(check_qfuzzy_subgroup(alpha_restrict(theta, alpha)))
 
 
 def _check_p4_6(phi):
@@ -364,8 +356,8 @@ def _check_p4_7(phi):
 
 
 def _check_p4_11(phi):
-    comp = complement(_restricted_subset(phi))
-    anti = check_anti_subgroup(alpha_restrict(comp, ONE))
+    comp = complement(phi)
+    anti = check_anti_subgroup(comp)
     return (*_outcome(anti), *_outcome(check_qfuzzy_subgroup(comp)))
 
 
@@ -395,26 +387,23 @@ def _positive_at_identity(phi):
 
 
 def _product_is_subgroup(phi, psi):
-    return check_alpha_subgroup(product(phi, psi)).verdict
+    return check_qfuzzy_subgroup(product(phi, psi)).verdict
 
 
 def _check_p4_15(phi, psi):
     # assumes the product is a subgroup and one factor's identity dominates
-    if _dominates_identity(phi, psi):
-        report = check_alpha_subgroup(psi)
-        if not report.verdict:
-            return False, f"case (i) conclusion fails: {report.detail}"
-    if _dominates_identity(psi, phi):
-        report = check_alpha_subgroup(phi)
-        if not report.verdict:
-            return False, f"case (ii) conclusion fails: {report.detail}"
+    for case, top, other in (("i", phi, psi), ("ii", psi, phi)):
+        if _dominates_identity(top, other):
+            report = check_qfuzzy_subgroup(other)
+            if not report.verdict:
+                return False, f"case ({case}) conclusion fails: {report.detail}"
     return True, None
 
 
 def _check_r4_16(phi, psi):
     # assumes the product is a subgroup
     disjunction = (
-        check_alpha_subgroup(phi).verdict or check_alpha_subgroup(psi).verdict
+        check_qfuzzy_subgroup(phi).verdict or check_qfuzzy_subgroup(psi).verdict
     )
     return disjunction, None if disjunction else "neither factor is a subgroup"
 
@@ -693,7 +682,7 @@ CLAIMS = {
     "P4.14": Claim(
         "product of restricted subgroups is one on the product group", "verified",
         "product_pairs", draws="subgroup", inputs=("phi", "psi"),
-        conclusion=lambda phi, psi: _outcome(check_alpha_subgroup(product(phi, psi))),
+        conclusion=lambda phi, psi: _outcome(check_qfuzzy_subgroup(product(phi, psi))),
     ),
     "P4.15": Claim(
         "dominant-identity factor recovers the other factor", "verified",
@@ -717,14 +706,14 @@ CLAIMS = {
         "anti-homomorphic image preserves restricted subgroups", "verified",
         "map_pairs", draws="subgroup", inputs=("phi",),
         map_kinds=(ANTI_HOMOMORPHISM,),
-        conclusion=lambda f, phi: _outcome(check_alpha_subgroup(_image_alpha(f, phi))),
+        conclusion=lambda f, phi: _outcome(check_qfuzzy_subgroup(_image_alpha(f, phi))),
         notes=_anti_maps_note,
     ),
     "P5.4": Claim(
         "anti-homomorphic preimage preserves restricted subgroups", "verified",
         "map_pairs", draws="subgroup", inputs=("psi",),
         map_kinds=(ANTI_HOMOMORPHISM,),
-        conclusion=lambda f, psi: _outcome(check_alpha_subgroup(_preimage_alpha(f, psi))),
+        conclusion=lambda f, psi: _outcome(check_qfuzzy_subgroup(_preimage_alpha(f, psi))),
         notes=_anti_maps_note,
     ),
     # a nonzero identity grade is assumed too: the all-zero subset makes the
@@ -1030,7 +1019,7 @@ def _reproduce_4_5() -> AuditReport:
     alpha = Fraction(9, 100)
     phi = alpha_restrict(theta, alpha)
     _expect(
-        all(g == alpha for row in phi.restricted for g in row),
+        all(g == alpha for row in phi.grades for g in row),
         "restriction at 9/100 is not the constant 9/100",
     )
     alpha_report = check_alpha_subgroup(phi)

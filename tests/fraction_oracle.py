@@ -19,7 +19,6 @@ from qfuzzy.checks import (
     _first_failure,
 )
 from qfuzzy.fuzzy import (
-    AlphaQFuzzySubset,
     CarrierError,
     InvariantError,
     QFuzzySubset,
@@ -40,7 +39,6 @@ from qfuzzy.lab import (
     GeneratorSoundnessError,
     _all_cyclic,
     _preimage_alpha,
-    _restricted_subset,
 )
 
 
@@ -181,7 +179,7 @@ def check_qfuzzy_subgroup(theta) -> CheckReport:
 
 
 def check_alpha_subgroup(phi) -> CheckReport:
-    group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
+    group, q_labels, grades = phi.group, phi.q_labels, phi.grades
     closure = _closure_condition(group, q_labels, grades)
     inverse = _inverse_condition(group, q_labels, grades)
     quotient = _quotient_condition(group, q_labels, grades)
@@ -197,7 +195,7 @@ def check_alpha_subgroup(phi) -> CheckReport:
 
 
 def check_anti_subgroup(phi) -> CheckReport:
-    group, q_labels, grades = phi.group, phi.q_labels, phi.restricted
+    group, q_labels, grades = phi.group, phi.q_labels, phi.grades
     anti = _anti_closure_condition(group, q_labels, grades)
     inverse = _inverse_condition(group, q_labels, grades)
     witness, detail = _first_failure(anti, inverse)
@@ -218,13 +216,15 @@ def check_anti_subgroup(phi) -> CheckReport:
 # from a `Fraction` table, so its integer columns come from that table.
 
 
-def restriction_of(theta: QFuzzySubset, alpha: Fraction, rows) -> AlphaQFuzzySubset:
+def restriction_of(theta: QFuzzySubset, alpha: Fraction, rows) -> QFuzzySubset:
     """The restriction of theta at alpha whose `Fraction` table is `rows`."""
     table = QFuzzySubset.from_grades(theta.group, theta.q_labels, rows)
-    return AlphaQFuzzySubset(theta, alpha, table.columns, table.dens, table.grades)
+    return QFuzzySubset(
+        theta.group, theta.q_labels, table.columns, table.dens, theta, alpha, table.grades
+    )
 
 
-def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> AlphaQFuzzySubset:
+def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:
     alpha = validate_grade(alpha)
     restricted = tuple(tuple(min(g, alpha) for g in row) for row in theta.grades)
     return restriction_of(theta, alpha, restricted)
@@ -276,7 +276,7 @@ def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
     return True, None
 
 
-def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset:
+def product(phi: QFuzzySubset, psi: QFuzzySubset) -> QFuzzySubset:
     """Grade at ((x, x'), q) = min(phi(x, q), psi(x', q)) over the direct product.
 
     Both factors must share q labels and the same alpha; min commutes with the
@@ -299,10 +299,10 @@ def product(phi: AlphaQFuzzySubset, psi: AlphaQFuzzySubset) -> AlphaQFuzzySubset
     out = alpha_restrict(base, phi.alpha)
     # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
     direct = []
-    for rx in phi.restricted:
-        for ry in psi.restricted:
+    for rx in phi.grades:
+        for ry in psi.grades:
             direct.append(tuple(min(rx[k], ry[k]) for k in range(nq)))
-    if out.restricted != tuple(direct):
+    if out.grades != tuple(direct):
         raise InvariantError(
             "product: restricting the base differs from the direct product"
         )
@@ -336,32 +336,32 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
     return QFuzzySubset.from_grades(f.target, theta.q_labels, tuple(rows))
 
 
-def level_set(phi: AlphaQFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
+def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : restricted grade(x, q) >= c }."""
     c = validate_grade(c)
     k = phi.base.q_index(q_label)
     return frozenset(
-        x for x in range(phi.group.order) if phi.restricted[x][k] >= c
+        x for x in range(phi.group.order) if phi.grades[x][k] >= c
     )
 
 
-def achieved_grades(phi: AlphaQFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
+def achieved_grades(phi: QFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
     """Distinct restricted grades for one q label, plus 0, ascending."""
     k = phi.base.q_index(q_label)
-    values = {phi.restricted[x][k] for x in range(phi.group.order)}
+    values = {phi.grades[x][k] for x in range(phi.group.order)}
     values.add(ZERO)
     return tuple(sorted(values))
 
 
-def kernel_set(phi: AlphaQFuzzySubset) -> KernelSet:
+def kernel_set(phi: QFuzzySubset) -> KernelSet:
     """Per q label: elements whose grade equals the identity's grade."""
     group = phi.group
     e = group.identity
     per_label = {}
     for k, q in enumerate(phi.q_labels):
-        ge = phi.restricted[e][k]
+        ge = phi.grades[e][k]
         per_label[q] = frozenset(
-            x for x in range(group.order) if phi.restricted[x][k] == ge
+            x for x in range(group.order) if phi.grades[x][k] == ge
         )
     return KernelSet(per_label)
 
@@ -403,9 +403,9 @@ def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
 
 
 def _check_p3_3(theta, sigma, alpha):
-    lhs = alpha_restrict(intersection(theta, sigma), alpha).restricted
-    a = alpha_restrict(theta, alpha).restricted
-    b = alpha_restrict(sigma, alpha).restricted
+    lhs = alpha_restrict(intersection(theta, sigma), alpha).grades
+    a = alpha_restrict(theta, alpha).grades
+    b = alpha_restrict(sigma, alpha).grades
     rhs = tuple(
         tuple(min(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
@@ -415,12 +415,12 @@ def _check_p3_3(theta, sigma, alpha):
 
 
 def _check_p3_4(f, theta, sigma, alpha):
-    lhs = alpha_restrict(image_subset(f, theta), alpha).restricted
-    rhs = image_subset(f, _restricted_subset(alpha_restrict(theta, alpha))).grades
+    lhs = alpha_restrict(image_subset(f, theta), alpha).grades
+    rhs = image_subset(f, alpha_restrict(theta, alpha)).grades
     if lhs != rhs:
         return False, "image does not commute with restriction"
-    lhs = alpha_restrict(preimage_subset(f, sigma), alpha).restricted
-    rhs = preimage_subset(f, _restricted_subset(alpha_restrict(sigma, alpha))).grades
+    lhs = alpha_restrict(preimage_subset(f, sigma), alpha).grades
+    rhs = preimage_subset(f, alpha_restrict(sigma, alpha)).grades
     if lhs != rhs:
         return False, "preimage does not commute with restriction"
     return True, None
@@ -429,7 +429,7 @@ def _check_p3_4(f, theta, sigma, alpha):
 def _check_p4_6(phi):
     group = phi.group
     for k, q in enumerate(phi.q_labels):
-        column = [phi.restricted[x][k] for x in range(group.order)]
+        column = [phi.grades[x][k] for x in range(group.order)]
         if column[group.identity] != max(column):
             return False, f"identity grade is not maximal for q label {q}"
         kernel = frozenset(
@@ -444,7 +444,7 @@ def _check_p4_7(phi):
     group = phi.group
     e = group.identity
     for k, q in enumerate(phi.q_labels):
-        column = [phi.restricted[x][k] for x in range(group.order)]
+        column = [phi.grades[x][k] for x in range(group.order)]
         for x in range(group.order):
             for y in range(group.order):
                 if column[group.mul(x, group.inv(y))] == column[e]:
@@ -461,15 +461,15 @@ def _dominates_identity(phi, psi):
     # phi's identity grade bounds every grade of psi, per q label
     e = phi.group.identity
     for k in range(len(phi.q_labels)):
-        top = phi.restricted[e][k]
-        if any(row[k] > top for row in psi.restricted):
+        top = phi.grades[e][k]
+        if any(row[k] > top for row in psi.grades):
             return False
     return True
 
 
 def _positive_at_identity(phi):
     e = phi.group.identity
-    return all(g > 0 for g in phi.restricted[e])
+    return all(g > 0 for g in phi.grades[e])
 
 
 def _check_p5_11(f, psi):

@@ -67,6 +67,27 @@ def test_klein_theta_restricted_at_009_is_subgroup():
     assert report.conditions["quotient"].ok
 
 
+def test_alpha_check_is_the_subgroup_check_plus_the_quotient_form(monkeypatch):
+    from qfuzzy import checks
+
+    g = standard_group("cyclic3")
+    bad = make_qfuzzy(g, Q, [[F(1, 10)], [F(9, 10)], [F(9, 10)]])
+    tables = [klein_theta(), bad, constant_qfuzzy(g, Q, F(1, 2))]
+    expected = [check_qfuzzy_subgroup(alpha_restrict(t, F(1))) for t in tables]
+
+    # a wrapper on the public subgroup check must not see the alpha check's scans
+    def wrapped(theta):
+        raise AssertionError("check_alpha_subgroup went through check_qfuzzy_subgroup")
+
+    monkeypatch.setattr(checks, "check_qfuzzy_subgroup", wrapped)
+    for theta, plain in zip(tables, expected):
+        report = check_alpha_subgroup(alpha_restrict(theta, F(1)))
+        assert report.verdict == plain.verdict and report.forms_agree
+        assert list(report.conditions) == ["closure", "inverse", "quotient"]
+        assert {k: report.conditions[k] for k in ("closure", "inverse")} == plain.conditions
+        assert (report.witness, report.detail) == (plain.witness, plain.detail)
+
+
 def test_alpha_subgroup_failure_witness_on_cyclic3():
     g = standard_group("cyclic3")
     theta = make_qfuzzy(g, Q, [[F(1, 10)], [F(9, 10)], [F(9, 10)]])
@@ -95,7 +116,7 @@ def test_two_condition_and_quotient_forms_agree_on_random_tables():
 def test_anti_check_on_complements():
     phi = alpha_restrict(klein_theta(), F(9, 100))
     comp = complement(
-        make_qfuzzy(phi.group, phi.q_labels, phi.restricted)
+        make_qfuzzy(phi.group, phi.q_labels, phi.grades)
     )
     report = check_anti_subgroup(alpha_restrict(comp, F(1)))
     assert report.verdict  # constant 0.91
@@ -104,7 +125,7 @@ def test_anti_check_on_complements():
     theta = indicator(g, Q, {0, 2, 4}, inside=F(1, 2), outside=F(1, 10))
     phi = alpha_restrict(theta, F(2, 5))
     assert check_alpha_subgroup(phi).verdict
-    comp = complement(make_qfuzzy(g, Q, phi.restricted))
+    comp = complement(make_qfuzzy(g, Q, phi.grades))
     assert check_anti_subgroup(alpha_restrict(comp, F(1))).verdict
 
 

@@ -222,6 +222,35 @@ def test_audit_unwritable_out_path_is_usage_error(tmp_path):
     assert "Is a directory" in result.stderr
 
 
+def test_audit_refuses_an_unwritable_out_path_before_auditing(tmp_path, monkeypatch, capsys):
+    from qfuzzy import cli
+
+    def no_audit(*args):
+        raise AssertionError("audit ran before --out was checked")
+
+    monkeypatch.setattr(cli, "audit", no_audit)
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["audit", "--all", "--out", str(out)]) == 64
+        assert str(out) in capsys.readouterr().err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_closed_stdout_pipe_exits_141_without_a_traceback():
+    path = os.pathsep.join(filter(None, (PACKAGE_ROOT, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader: the first write to the pipe fails
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "qfuzzy", "group", "show", "cyclic12"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 141
+    assert "Traceback" not in result.stderr
+
+
 def test_audit_structured_output_round_trips(tmp_path):
     out = tmp_path / "report.json"
     result = run_cli(

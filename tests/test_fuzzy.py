@@ -7,7 +7,6 @@ from qfuzzy.grades import GradeError, format_grade, parse_grade
 from qfuzzy.groups import HOMOMORPHISM, enumerate_maps, make_map, standard_group
 from qfuzzy.lab import _image_alpha, _preimage_alpha
 from qfuzzy.fuzzy import (
-    AlphaQFuzzySubset,
     CarrierError,
     InvariantError,
     alpha_restrict,
@@ -24,6 +23,7 @@ from qfuzzy.fuzzy import (
     parse_fuzzy_file,
     preimage_subset,
     product,
+    QFuzzySubset,
     union,
 )
 
@@ -67,11 +67,11 @@ def test_make_qfuzzy_validation():
 
 def test_alpha_restrict_endpoints():
     theta = klein_theta()
-    assert alpha_restrict(theta, F(1)).restricted == theta.grades
-    assert alpha_restrict(theta, F(0)).restricted == ((F(0),),) * 4
+    assert alpha_restrict(theta, F(1)).grades == theta.grades
+    assert alpha_restrict(theta, F(0)).grades == ((F(0),),) * 4
     # all base grades exceed 0.09, so the restriction is constant 0.09
     phi = alpha_restrict(theta, F(9, 100))
-    assert phi.restricted == ((F(9, 100),),) * 4
+    assert phi.grades == ((F(9, 100),),) * 4
 
 
 def test_combine_and_compare():
@@ -131,7 +131,28 @@ def test_product_with_full_trivial_factor_keeps_grades():
     phi = alpha_restrict(make_qfuzzy(c2, Q, [[F(1, 2)], [F(1, 4)]]), F(1))
     full = alpha_restrict(constant_qfuzzy(trivial, Q, F(1)), F(1))
     prod = product(phi, full)
-    assert [row[0] for row in prod.restricted] == [F(1, 2), F(1, 4)]
+    assert [row[0] for row in prod.grades] == [F(1, 2), F(1, 4)]
+
+
+def test_product_requires_restricted_factors():
+    c2 = standard_group("cyclic2")
+    theta = constant_qfuzzy(c2, Q, F(1, 2))
+    phi = alpha_restrict(theta, F(1))
+    for a, b in ((theta, phi), (phi, theta), (theta, theta)):
+        with pytest.raises(CarrierError, match="restrictions"):
+            product(a, b)
+
+
+def test_restriction_equality_compares_base_and_alpha():
+    theta = klein_theta()  # every grade is at most 2/5
+    phi = alpha_restrict(theta, F(1))
+    assert phi == alpha_restrict(klein_theta(), F(1))
+    assert phi.base == theta and phi.alpha == F(1)
+    # the same grades, but a restriction is not its base, nor one at another alpha
+    assert phi.same_grades(theta) and phi != theta and theta != phi
+    other = alpha_restrict(theta, F(1, 2))
+    assert phi.same_grades(other) and phi != other
+    assert theta.base is None and theta.alpha is None
 
 
 def test_product_requires_shared_alpha():
@@ -147,8 +168,8 @@ def test_image_identity_and_constant_maps():
     theta = klein_theta()
     phi = alpha_restrict(theta, F(1, 2))
     ident = make_map(g, g, range(4), HOMOMORPHISM)
-    assert _image_alpha(ident, phi).restricted == phi.restricted
-    assert _preimage_alpha(ident, phi).restricted == phi.restricted
+    assert _image_alpha(ident, phi).grades == phi.grades
+    assert _preimage_alpha(ident, phi).grades == phi.grades
     trivial_target = standard_group("trivial")
     collapse = make_map(g, trivial_target, [0, 0, 0, 0], HOMOMORPHISM)
     img = _image_alpha(collapse, phi)
@@ -156,7 +177,7 @@ def test_image_identity_and_constant_maps():
     pre = _preimage_alpha(
         collapse, alpha_restrict(constant_qfuzzy(trivial_target, Q, F(1, 3)), F(1))
     )
-    assert all(row[0] == F(1, 3) for row in pre.restricted)
+    assert all(row[0] == F(1, 3) for row in pre.grades)
 
 
 def test_image_empty_fiber_grade_zero():
@@ -188,7 +209,7 @@ def test_broken_restriction_raises_invariant_error(monkeypatch):
     theta = klein_theta()
     phi = alpha_restrict(theta, F(1, 5))
     monkeypatch.setattr(
-        fuzzy, "alpha_restrict", lambda t, a: AlphaQFuzzySubset(t, a, t.columns, t.dens)
+        fuzzy, "alpha_restrict", lambda t, a: QFuzzySubset(t.group, t.q_labels, t.columns, t.dens, t, a)
     )
     with pytest.raises(InvariantError, match="product"):
         product(phi, phi)

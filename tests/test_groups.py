@@ -235,6 +235,13 @@ def test_group_file_round_trip():
     assert back == g
 
 
+def test_equal_groups_hash_equal():
+    catalog = standard_group("klein4")
+    parsed = parse_group_file(format_group_file(catalog))
+    assert parsed is not catalog
+    assert parsed == catalog and hash(parsed) == hash(catalog)
+
+
 def test_group_file_errors_carry_location():
     from qfuzzy.groups import FileFormatError
 

@@ -173,7 +173,7 @@ def test_first_violation_after_skipped_rows_matches_full_scan():
 
 @given(tables(), grades)
 def test_alpha_restrict_is_min(theta, alpha):
-    restricted = alpha_restrict(theta, alpha).restricted
+    restricted = alpha_restrict(theta, alpha).grades
     expected = tuple(tuple(min(g, alpha) for g in row) for row in theta.grades)
     assert restricted == expected
     assert all(type(g) is Fraction for row in restricted for g in row)
@@ -451,16 +451,12 @@ OFF_DENOMINATOR = (F(1, 3), F(1, 7), F(3, 7), F(5, 11))
 alphas = st.sampled_from(POOL + OFF_DENOMINATOR)
 
 
-def view_of(table):
-    return table.grades if isinstance(table, QFuzzySubset) else table.restricted
-
-
 def assert_same_table(got, expected):
     """Equal tables, equal `Fraction` views, and integer columns that read
     as the view over their denominators."""
     assert got == expected
-    view = view_of(got)
-    assert view == view_of(expected)
+    view = got.grades
+    assert view == expected.grades
     assert all(type(g) is F for row in view for g in row)
     columns = [tuple(F(g, den) for g in col) for col, den in zip(got.columns, got.dens)]
     assert columns == list(zip(*view))

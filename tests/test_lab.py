@@ -93,6 +93,29 @@ def test_audit_accounting_invariants():
             assert r.status == "recorded"
 
 
+def test_only_p4_12_reads_the_quotient_form(monkeypatch):
+    # the subgroup claims judge restrictions with the two-condition check;
+    # only P4.12 compares it with the quotient form
+    def quotient_scan(phi):
+        raise AssertionError("quotient form computed where nothing reads it")
+
+    monkeypatch.setattr(lab, "check_alpha_subgroup", quotient_scan)
+    claims = {"P4.2", "P4.8", "P4.14", "P4.15", "R4.16", "P5.2", "P5.4"}
+    reports = audit(claims, SMALL)
+    assert {r.prop_id for r in reports} == claims
+    assert all(r.trials for r in reports if r.prop_id in ("P4.2", "P4.8", "P4.14"))
+    monkeypatch.undo()
+    calls = []
+
+    def counted(phi):
+        calls.append(phi)
+        return check_alpha_subgroup(phi)
+
+    monkeypatch.setattr(lab, "check_alpha_subgroup", counted)
+    reports = audit({"P4.12"}, SMALL)
+    assert calls and all(r.status == "verified-sampled" for r in reports)
+
+
 def test_p4_11_notes_report_literal_findings():
     reports = [r for r in audit({"P4.11"}, SMALL) if r.carrier == "cyclic6"]
     assert len(reports) == 1

@@ -91,16 +91,16 @@ def test_de_morgan_laws(pair):
 def test_restriction_is_idempotent(theta, alpha):
     once = alpha_restrict(theta, alpha)
     again = alpha_restrict(
-        make_qfuzzy(theta.group, Q, once.restricted), alpha
+        make_qfuzzy(theta.group, Q, once.grades), alpha
     )
-    assert once.restricted == again.restricted
+    assert once.grades == again.grades
 
 
 @given(subsets(), grades, grades)
 def test_restriction_is_monotone_in_alpha(theta, a1, a2):
     lo, hi = sorted((a1, a2))
-    low = alpha_restrict(theta, lo).restricted
-    high = alpha_restrict(theta, hi).restricted
+    low = alpha_restrict(theta, lo).grades
+    high = alpha_restrict(theta, hi).grades
     assert all(
         x <= y for rl, rh in zip(low, high) for x, y in zip(rl, rh)
     )
@@ -111,7 +111,7 @@ def test_restriction_never_raises_grades(theta, alpha):
     phi = alpha_restrict(theta, alpha)
     assert all(
         r <= min(g, alpha) and r == min(g, alpha)
-        for base_row, row in zip(theta.grades, phi.restricted)
+        for base_row, row in zip(theta.grades, phi.grades)
         for g, r in zip(base_row, row)
     )
 
