@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .grades import format_grade
-from .fuzzy import QFuzzySubset, achieved_grades, level_set
+from .fuzzy import QFuzzySubset, level_sets
 from .groups import analyze_subset
 
 
@@ -105,10 +105,16 @@ def _anti_closure_condition(t) -> ConditionResult:
 
 
 def _inverse_condition(t) -> ConditionResult:
-    # grade(x^-1, q) >= grade(x, q)
+    # grade(x^-1, q) >= grade(x, q).  Read at x and at x^-1 it says the two
+    # grades are equal, so a column that holds equals itself read at the
+    # inverses: one comparison passes it, and the loop runs only to find the
+    # first witness
     group, inverses, dens = t.group, t.group.inverses, t.dens
+    at_inverses = group.at_inverses
     for k, q in enumerate(t.q_labels):
         col = t.columns[k]
+        if at_inverses(col) == col:
+            continue
         for x in range(group.order):
             if col[inverses[x]] < col[x]:
                 at = (group.label(x), q)
@@ -118,23 +124,22 @@ def _inverse_condition(t) -> ConditionResult:
     return ConditionResult(True)
 
 
-def _first_failure(*conditions: ConditionResult):
-    for cond in conditions:
-        if not cond.ok:
-            return cond.witness, cond.detail
-    return None, None
-
-
-def _report(**conditions: ConditionResult) -> CheckReport:
-    # the verdict is that every condition holds; the witness, the first that fails
-    witness, detail = _first_failure(*conditions.values())
-    return CheckReport(all([c.ok for c in conditions.values()]), conditions, witness, detail)
+def _report(first_name: str, first: ConditionResult,
+            second_name: str, second: ConditionResult) -> CheckReport:
+    # the verdict is that both conditions hold; the witness, the first that fails
+    failed = second if first.ok else first
+    return CheckReport(
+        first.ok and second.ok, {first_name: first, second_name: second},
+        failed.witness, failed.detail,
+    )
 
 
 def _subgroup_report(t) -> CheckReport:
     # the two conditions; the public checks call this, not each other, so a
     # wrapper around one never sees the other's calls
-    return _report(closure=_pair_condition(t, t.group.table), inverse=_inverse_condition(t))
+    return _report(
+        "closure", _pair_condition(t, t.group.table), "inverse", _inverse_condition(t)
+    )
 
 
 def check_qfuzzy_subgroup(theta: QFuzzySubset) -> CheckReport:
@@ -163,7 +168,9 @@ def check_anti_subgroup(phi: QFuzzySubset) -> CheckReport:
     """Reversed inequalities: grade(xy) <= max(grade(x), grade(y)) plus
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
-    return _report(anti_closure=_anti_closure_condition(phi), inverse=_inverse_condition(phi))
+    return _report(
+        "anti_closure", _anti_closure_condition(phi), "inverse", _inverse_condition(phi)
+    )
 
 
 @dataclass(frozen=True)
@@ -218,27 +225,22 @@ class CyclicSlice:
 
     @property
     def verdict(self) -> bool:
-        return all(
-            lv.is_subgroup and lv.is_cyclic for lv in self.levels if lv.members
-        )
+        return all(lv.is_subgroup and lv.is_cyclic for lv in self.levels)
 
 
 def classify_cyclic(phi: QFuzzySubset) -> dict[str, CyclicSlice]:
-    """Per q label: every nonempty level set at an achieved cut (plus 0)
-    must be a cyclic crisp subgroup.  Finitely many grades determine all
-    level sets, so only achieved cuts are scanned; empty level sets are
-    exempt."""
+    """Per q label: the level set at every achieved cut (plus 0) must be a
+    cyclic crisp subgroup.  Finitely many grades determine all level sets,
+    so only achieved cuts are scanned, and none of their level sets is
+    empty.  Each level set is read from the label's integer column."""
     out = {}
-    for q in phi.q_labels:
+    for k, q in enumerate(phi.q_labels):
+        den = phi.dens[k]
         levels = []
-        for cut in achieved_grades(phi, q):
-            members = level_set(phi, cut, q)
-            if members:
-                analysis = analyze_subset(phi.group, members)
-                levels.append(
-                    LevelVerdict(cut, members, analysis.is_subgroup, analysis.is_cyclic)
-                )
-            else:
-                levels.append(LevelVerdict(cut, members, False, False))
+        for cut, members in level_sets(phi, k):
+            analysis = analyze_subset(phi.group, members)
+            levels.append(LevelVerdict(
+                Fraction(cut, den), members, analysis.is_subgroup, analysis.is_cyclic
+            ))
         out[q] = CyclicSlice(q, tuple(levels))
     return out

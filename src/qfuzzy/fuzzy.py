@@ -127,12 +127,6 @@ def make_qfuzzy(group: FiniteGroup, q_labels, grades) -> QFuzzySubset:
     return QFuzzySubset.from_grades(group, q_labels, checked)
 
 
-def constant_qfuzzy(group: FiniteGroup, q_labels, value: Fraction) -> QFuzzySubset:
-    value = validate_grade(value)
-    q_labels = tuple(q_labels)
-    return make_qfuzzy(group, q_labels, [[value] * len(q_labels)] * group.order)
-
-
 def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) -> QFuzzySubset:
     """Two-valued subset: `inside` on the given crisp set, `outside` elsewhere."""
     subset = frozenset(subset)
@@ -263,19 +257,34 @@ def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
     return QFuzzySubset(f.source, sigma.q_labels, columns, sigma.dens)
 
 
+def _at_or_above(column, cut: int) -> frozenset[int]:
+    return frozenset([x for x, g in enumerate(column) if g >= cut])
+
+
+def _achieved(column) -> list[int]:
+    return sorted({0, *column})
+
+
 def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : grade(x, q) >= c }."""
     n, d = validate_grade(c).as_integer_ratio()
     k = phi.q_index(q_label)
-    cut = n * phi.dens[k]  # g / den >= n / d iff g * d >= n * den
-    return frozenset([x for x, g in enumerate(phi.columns[k]) if g * d >= cut])
+    # g / den >= n / d iff g >= ceil(n * den / d), g being an integer
+    return _at_or_above(phi.columns[k], -(-n * phi.dens[k] // d))
 
 
 def achieved_grades(phi: QFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
     """Distinct grades for one q label, plus 0, ascending."""
     k = phi.q_index(q_label)
     den = phi.dens[k]
-    return tuple([Fraction(g, den) for g in sorted({0, *phi.columns[k]})])
+    return tuple([Fraction(g, den) for g in _achieved(phi.columns[k])])
+
+
+def level_sets(phi: QFuzzySubset, k: int) -> list[tuple[int, frozenset[int]]]:
+    """(cut, level set) of the k-th column at each of its grades, plus 0,
+    ascending; a cut is an integer over `phi.dens[k]`, as the column is."""
+    column = phi.columns[k]
+    return [(cut, _at_or_above(column, cut)) for cut in _achieved(column)]
 
 
 # --- fuzzy-set file format ---------------------------------------------------

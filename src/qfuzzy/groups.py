@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 
 
 class GroupError(ValueError):
@@ -80,6 +81,12 @@ class FiniteGroup:
     def quotients(self) -> tuple[tuple[int, ...], ...]:
         # quotients[x][y] = x y^-1
         return tuple(tuple(row[j] for j in self.inverses) for row in self.table)
+
+    @cached_property
+    def at_inverses(self):
+        """column -> (column[x^-1] for each element x), in one C-level call;
+        at order 1, the single entry itself."""
+        return itemgetter(*self.inverses)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -309,6 +316,14 @@ class GroupMap:
             buckets[y].append(x)
         return tuple(map(tuple, buckets))
 
+    @cached_property
+    def is_injective(self) -> bool:
+        return len(set(self.images)) == self.source.order
+
+    @cached_property
+    def is_surjective(self) -> bool:
+        return len(set(self.images)) == self.target.order
+
     def __repr__(self) -> str:
         pairs = ", ".join(
             f"{self.source.label(i)}->{self.target.label(y)}"
@@ -391,21 +406,6 @@ def enumerate_maps(
 
     extend(0)
     return found
-
-
-def compose_with_inversion(m: GroupMap) -> GroupMap:
-    """x -> m(x^-1); flips homomorphism <-> anti-homomorphism."""
-    flipped = tuple(m.images[m.source.inv(x)] for x in range(m.source.order))
-    kind = ANTI_HOMOMORPHISM if m.kind == HOMOMORPHISM else HOMOMORPHISM
-    return GroupMap(m.source, m.target, flipped, kind)
-
-
-def is_surjective(m: GroupMap) -> bool:
-    return len(set(m.images)) == m.target.order
-
-
-def is_injective(m: GroupMap) -> bool:
-    return len(set(m.images)) == m.source.order
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,6 @@ from .groups import (
     all_subgroups,
     analyze_subset,
     enumerate_maps,
-    is_injective,
-    is_surjective,
     make_map,
     standard_group,
 )
@@ -196,13 +194,23 @@ def _random_chain(group, rng, max_depth=3):
     return chain
 
 
+@lru_cache(maxsize=None)
+def _verified_columns(group) -> set[tuple[int, ...]]:
+    # columns on the group whose tables passed the subgroup check.  Closure
+    # and inverse are each a condition per q label, and the integers of one
+    # column order as its grades do, whatever its denominator: a table whose
+    # columns have all passed is a subgroup
+    return set()
+
+
 def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     """Genuine Q-fuzzy subgroup from a random descending subgroup chain.
 
     Per q label: pick a chain G = H0 > H1 > ... > Hk and a weakly increasing
     grade sequence; the grade of x is the grade of the deepest layer
-    containing x.  The output is re-checked and generation aborts if the
-    postcondition ever fails.
+    containing x.  A table with a column not drawn before on the group is
+    re-checked, and generation aborts if the postcondition ever fails; its
+    columns are remembered only once the table passes.
     """
     pool = GradePool(pool)
     columns = []
@@ -216,11 +224,14 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
                 column[x] = grade
         columns.append(tuple(column))
     theta = QFuzzySubset(group, q_labels, tuple(columns), (pool.den,) * len(q_labels))
-    report = check_qfuzzy_subgroup(theta)
-    if not report.verdict:
-        raise GeneratorSoundnessError(
-            f"generated table on {group.name} is not a subgroup: {report.detail}"
-        )
+    verified = _verified_columns(group)
+    if not verified.issuperset(columns):
+        report = check_qfuzzy_subgroup(theta)
+        if not report.verdict:
+            raise GeneratorSoundnessError(
+                f"generated table on {group.name} is not a subgroup: {report.detail}"
+            )
+        verified.update(columns)
     return theta
 
 
@@ -607,7 +618,7 @@ def _p4_11_note(tally, maps):
 
 
 def _p5_8_note(tally, maps):
-    injective = sum(1 for f in maps if is_injective(f))
+    injective = sum(1 for f in maps if f.is_injective)
     text = (
         f"pass criterion quantified over the {injective} injective of "
         f"{len(maps)} anti-homomorphisms"
@@ -731,7 +742,7 @@ CLAIMS = {
         "anti-homomorphic preimage preserves abelian kernels", "verified",
         "map_pairs", draws="subgroup", inputs=("psi",),
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_abelian(psi),
-        conclusion=_check_p5_8, criterion=lambda f: is_injective(f),
+        conclusion=_check_p5_8, criterion=lambda f: f.is_injective,
         notes=_p5_8_note,
     ),
     "P5.10": Claim(
@@ -740,7 +751,7 @@ CLAIMS = {
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda phi: _all_cyclic(phi),
         conclusion=_check_p5_10,
         verdict=_inclusion("pushed level set escapes the image level set"),
-        split=lambda f: is_surjective(f), notes=_cyclic_note("surjective"),
+        split=lambda f: f.is_surjective, notes=_cyclic_note("surjective"),
     ),
     "P5.11": Claim(
         "anti-homomorphic preimage preserves cyclic level structure", "recorded",
@@ -748,7 +759,7 @@ CLAIMS = {
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_cyclic(psi),
         conclusion=_check_p5_11,
         verdict=_inclusion("pulled level set escapes the preimage level set"),
-        split=lambda f: is_injective(f), notes=_cyclic_note("injective"),
+        split=lambda f: f.is_injective, notes=_cyclic_note("injective"),
     ),
     # a search's conclusion is the statement its remark denies: a witness
     # that fails it settles the remark

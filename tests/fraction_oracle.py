@@ -5,19 +5,17 @@ as the checks did before they moved to scaled integers and skipped the pairs
 that cannot fail; `check_*` compose them the way `qfuzzy.checks` does, and
 `validate_grade` is the all-`Fraction` grade validation.  The grade helpers
 below are those the kernels used while tables stored `Fraction`s and were
-scaled to integers on every call.  Only the tests use this module.
+scaled to integers on every call.  `compose_with_inversion` builds
+anti-homomorphisms another way than `enumerate_maps` does, and
+`constant_qfuzzy` is a table builder the tests share.  Only the tests use
+this module.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from qfuzzy.checks import (
-    CheckReport,
-    ConditionResult,
-    KernelSet,
-    _first_failure,
-)
+from qfuzzy.checks import CheckReport, ConditionResult, KernelSet
 from qfuzzy.fuzzy import (
     CarrierError,
     InvariantError,
@@ -27,6 +25,8 @@ from qfuzzy.fuzzy import (
 )
 from qfuzzy.grades import ONE, ZERO, GradeError, format_grade, sorted_grades
 from qfuzzy.groups import (
+    ANTI_HOMOMORPHISM,
+    HOMOMORPHISM,
     CrispSubsetAnalysis,
     FiniteGroup,
     GroupError,
@@ -164,6 +164,13 @@ def _quotient_condition(group, q_labels, grades) -> ConditionResult:
                         False, at, _violation(col[row[inverses[y]]], bound, at)
                     )
     return ConditionResult(True)
+
+
+def _first_failure(*conditions: ConditionResult):
+    for cond in conditions:
+        if not cond.ok:
+            return cond.witness, cond.detail
+    return None, None
 
 
 def check_qfuzzy_subgroup(theta) -> CheckReport:
@@ -533,3 +540,19 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
             f"generated table on {group.name} is not a subgroup: {report.detail}"
         )
     return theta
+
+
+# --- maps and tables the tests build ----------------------------------------------
+
+
+def compose_with_inversion(m: GroupMap) -> GroupMap:
+    """x -> m(x^-1); flips homomorphism <-> anti-homomorphism."""
+    flipped = tuple(m.images[m.source.inv(x)] for x in range(m.source.order))
+    kind = ANTI_HOMOMORPHISM if m.kind == HOMOMORPHISM else HOMOMORPHISM
+    return GroupMap(m.source, m.target, flipped, kind)
+
+
+def constant_qfuzzy(group: FiniteGroup, q_labels, value: Fraction) -> QFuzzySubset:
+    """Every grade `value`, through the validating constructor."""
+    q_labels = tuple(q_labels)
+    return make_qfuzzy(group, q_labels, [[value] * len(q_labels)] * group.order)

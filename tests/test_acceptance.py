@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from fraction_oracle import compose_with_inversion
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from qfuzzy.fuzzy import (
     achieved_grades,
@@ -29,7 +30,6 @@ from qfuzzy.groups import (
     HOMOMORPHISM,
     all_subgroups,
     analyze_subset,
-    compose_with_inversion,
     enumerate_maps,
     standard_group,
 )

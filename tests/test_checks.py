@@ -1,11 +1,11 @@
 import itertools
 from fractions import Fraction
 
+from fraction_oracle import constant_qfuzzy
 from qfuzzy.groups import all_subgroups, analyze_subset, standard_group
 from qfuzzy.fuzzy import (
     alpha_restrict,
     complement,
-    constant_qfuzzy,
     indicator,
     make_qfuzzy,
 )

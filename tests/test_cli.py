@@ -3,15 +3,22 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import qfuzzy
-from qfuzzy.lab import SEARCHES, AuditConfig, audit, search_counterexample
-from qfuzzy.reports import parse_structured, render_structured, render_text
+from qfuzzy import lab
+from qfuzzy.lab import SEARCHES, AuditConfig, AuditReport, audit, search_counterexample
+from qfuzzy.reports import render_structured, render_text
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 # absolute, so that a child run in another directory still imports qfuzzy
 PACKAGE_ROOT = str(Path(qfuzzy.__file__).resolve().parent.parent)
+
+
+def parse_structured(text):
+    # the reports a structured rendering holds
+    return [AuditReport(**entry) for entry in json.loads(text)["reports"]]
 
 
 def run_cli(*args, cwd=None):
@@ -327,3 +334,21 @@ def test_structured_render_is_valid_sorted_json():
     payload = json.loads(render_structured(reports))
     assert payload["reports"][0]["prop_id"] == "P4.11"
     assert parse_structured(render_structured(reports)) == reports
+
+
+def test_structured_render_matches_the_deep_copy_rendering(monkeypatch):
+    # every subgroup conclusion fails, so the reports hold failure records
+    # with nested inputs and maps
+    monkeypatch.setattr(lab, "_outcome", lambda report: (False, "forced"))
+    cfg = AuditConfig(
+        catalog=("cyclic2",), trials=3,
+        map_pairs=(("cyclic2", "cyclic2"),), product_pairs=(("cyclic2", "cyclic3"),),
+    )
+    reports = audit({"P4.2", "P4.14", "P5.2"}, cfg)
+    assert all(r.failures for r in reports) and any("map" in r.failures[0] for r in reports)
+    deep = json.dumps(
+        {"reports": [asdict(r) for r in reports]},
+        sort_keys=True, indent=2, separators=(",", ": "),
+    ) + "\n"
+    assert render_structured(reports) == deep
+    assert parse_structured(deep) == reports

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from fraction_oracle import constant_qfuzzy
 from qfuzzy import fuzzy
 from qfuzzy.grades import GradeError, format_grade, parse_grade
 from qfuzzy.groups import HOMOMORPHISM, enumerate_maps, make_map, standard_group
@@ -14,7 +15,6 @@ from qfuzzy.fuzzy import (
     combine,
     compare,
     complement,
-    constant_qfuzzy,
     format_fuzzy_file,
     image_subset,
     indicator,

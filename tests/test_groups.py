@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fraction_oracle import compose_with_inversion
 from qfuzzy import groups
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
@@ -14,7 +15,6 @@ from qfuzzy.groups import (
     analyze_subset,
     build_group,
     closure_of,
-    compose_with_inversion,
     direct_product,
     enumerate_maps,
     format_group_file,
@@ -240,6 +240,44 @@ def test_equal_groups_hash_equal():
     parsed = parse_group_file(format_group_file(catalog))
     assert parsed is not catalog
     assert parsed == catalog and hash(parsed) == hash(catalog)
+
+
+def test_group_equality_is_unchanged_in_every_case():
+    klein = standard_group("klein4")
+    parsed = parse_group_file(format_group_file(klein))
+    assert klein == klein and not klein != klein  # the same object
+    assert parsed == klein and klein == parsed and not parsed != klein
+    cyclic4 = standard_group("cyclic4")
+    assert klein != cyclic4 and not klein == cyclic4  # different groups
+    # same name, order and hash, but another table (and so other inverses)
+    cyclic_table = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+    impostor = build_group("klein4", ["e", "a", "b", "c"], cyclic_table)
+    assert hash(impostor) == hash(klein) and impostor != klein
+    # same table, other labels
+    assert build_group("klein4", ["e", "x", "y", "z"], KLEIN_TABLE) != klein
+    # same labels, identity and inverses, another table: XOR on 0..7, and
+    # XOR relabelled by the swap of 3 and 4
+    swap = [0, 1, 2, 4, 3, 5, 6, 7]
+    labels = [str(i) for i in range(8)]
+    xor = build_group("c2^3", labels, [[i ^ j for j in range(8)] for i in range(8)])
+    swapped = build_group(
+        "c2^3", labels, [[swap[swap[i] ^ swap[j]] for j in range(8)] for i in range(8)]
+    )
+    assert swapped.inverses == xor.inverses and swapped != xor
+    assert klein != "klein4" and not klein == "klein4"
+
+
+def test_map_injectivity_and_surjectivity_are_read_from_the_images():
+    pairs = (("symmetric3", "cyclic2"), ("cyclic3", "symmetric3"), ("cyclic4", "cyclic4"))
+    for source, target in pairs:
+        src, tgt = standard_group(source), standard_group(target)
+        for kind in (HOMOMORPHISM, ANTI_HOMOMORPHISM):
+            for m in enumerate_maps(src, tgt, kind):
+                images = set(m.images)
+                assert m.is_injective == (len(images) == src.order)
+                assert m.is_surjective == (images == set(range(tgt.order)))
+                # computed once, then read back from the map
+                assert vars(m)["is_injective"] is m.is_injective
 
 
 def test_group_file_errors_carry_location():

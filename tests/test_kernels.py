@@ -14,6 +14,7 @@ from qfuzzy.checks import (
     check_alpha_subgroup,
     check_anti_subgroup,
     check_qfuzzy_subgroup,
+    classify_cyclic,
     kernel_set,
 )
 from qfuzzy.fuzzy import (
@@ -25,6 +26,7 @@ from qfuzzy.fuzzy import (
     complement,
     image_subset,
     level_set,
+    level_sets,
     make_qfuzzy,
     preimage_subset,
     product,
@@ -95,6 +97,37 @@ def test_alpha_check_matches_fraction_oracle(theta, alpha):
 def test_anti_check_matches_fraction_oracle(theta, alpha):
     phi = alpha_restrict(theta, alpha)
     assert check_anti_subgroup(phi) == oracle.check_anti_subgroup(phi)
+
+
+@pytest.mark.parametrize("name", ["cyclic5", "cyclic12", "symmetric3", "quaternion8"])
+def test_inverse_scan_and_reports_match_fraction_oracle_at_the_ends(name):
+    # the inverse condition fails at the first or the last element that is
+    # not its own inverse, at the first or the second q label
+    group = standard_group(name)
+    movers = [x for x in range(group.order) if group.inverses[x] != x]
+    labels = ("q1", "q2")
+    checks = (
+        (check_qfuzzy_subgroup, oracle.check_qfuzzy_subgroup),
+        (check_anti_subgroup, oracle.check_anti_subgroup),
+        (check_alpha_subgroup, oracle.check_alpha_subgroup),
+    )
+    for x, k in itertools.product((movers[0], movers[-1]), range(len(labels))):
+        rows = [[F(1, 2)] * len(labels) for _ in range(group.order)]
+        rows[x][k] = F(3, 4)
+        theta = make_qfuzzy(group, labels, rows)
+        for check, reference in checks:
+            report = check(theta)
+            assert report == reference(theta)
+            inverse = report.conditions["inverse"]
+            assert inverse.witness == (group.label(x), labels[k])
+            assert inverse.detail == (
+                f"lhs = 1/2 < rhs = 3/4 at ({group.label(x)}, {labels[k]})"
+            )
+    constant = make_qfuzzy(group, labels, [[F(1, 2)] * 2] * group.order)
+    for check, reference in checks:
+        report = check(constant)
+        assert report == reference(constant) and report.verdict
+        assert (report.witness, report.detail) == (None, None)
 
 
 # --- the trimmed pairwise scans -------------------------------------------------
@@ -251,6 +284,31 @@ def test_achieved_grades_match_fraction_oracle(theta, alpha):
         got = achieved_grades(phi, q)
         assert got == oracle.achieved_grades(phi, q)
         assert all(type(g) is Fraction for g in got)
+
+
+@given(tables(), grades)
+def test_level_sets_match_fraction_oracle(theta, alpha):
+    phi = alpha_restrict(theta, alpha)
+    for k, q in enumerate(phi.q_labels):
+        cuts = oracle.achieved_grades(phi, q)
+        got = level_sets(phi, k)
+        assert [Fraction(cut, phi.dens[k]) for cut, _ in got] == list(cuts)
+        assert [members for _, members in got] == [oracle.level_set(phi, c, q) for c in cuts]
+
+
+@given(tables(), grades)
+def test_classify_cyclic_matches_fraction_level_sets(theta, alpha):
+    # the level sets at the achieved cuts, as the Fraction path finds them
+    phi = alpha_restrict(theta, alpha)
+    slices = classify_cyclic(phi)
+    assert list(slices) == list(phi.q_labels)
+    for q, slice_ in slices.items():
+        cuts = oracle.achieved_grades(phi, q)
+        assert [lv.cut for lv in slice_.levels] == list(cuts)
+        for lv, cut in zip(slice_.levels, cuts):
+            assert lv.members == oracle.level_set(phi, cut, q)
+            analysis = oracle.analyze_subset(phi.group, lv.members)
+            assert (lv.is_subgroup, lv.is_cyclic) == (analysis.is_subgroup, analysis.is_cyclic)
 
 
 @given(tables(), grades)

@@ -11,7 +11,6 @@ from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
     enumerate_maps,
-    is_injective,
     standard_group,
 )
 from qfuzzy.lab import (
@@ -59,6 +58,51 @@ def test_random_subgroup_generator_is_sound():
             rng = random.Random(f"gen|{name}|{trial}")
             theta = random_qfuzzy_subgroup(g, Q, rng, pool)
             assert check_qfuzzy_subgroup(theta).verdict
+
+
+def test_generator_never_remembers_a_failing_column(monkeypatch):
+    group = standard_group("cyclic4")
+    pool = AuditConfig().grade_pool
+    # {0, 1} is not a subgroup of cyclic4, so a column graded higher on it fails
+    monkeypatch.setattr(
+        lab, "_random_chain", lambda group, rng: [frozenset(range(4)), frozenset({0, 1})]
+    )
+    for _ in range(2):  # the same draw again: it is checked again, and fails again
+        with pytest.raises(lab.GeneratorSoundnessError, match="not a subgroup"):
+            random_qfuzzy_subgroup(group, Q, random.Random("no memo"), pool)
+
+
+class Scripted:
+    """An RNG whose `choice` takes the given indices in turn."""
+
+    def __init__(self, *picks):
+        self.picks = iter(picks)
+
+    def choice(self, seq):
+        return seq[next(self.picks)]
+
+
+def test_generator_checks_each_distinct_column_once(monkeypatch):
+    group = standard_group("symmetric3")
+    pool = AuditConfig().grade_pool
+    checked = []
+
+    def check(theta):
+        checked.append(theta)
+        return check_qfuzzy_subgroup(theta)
+
+    monkeypatch.setattr(lab, "check_qfuzzy_subgroup", check)
+    first = random_qfuzzy_subgroup(group, Q, random.Random("memo"), pool)
+    again = random_qfuzzy_subgroup(group, Q, random.Random("memo"), pool)
+    assert again == first and checked == [first]
+    # one-layer chains: each label's column is the constant the RNG picks
+    monkeypatch.setattr(lab, "_random_chain", lambda group, rng: [frozenset(range(6))])
+    labels = ("q1", "q2")
+    new = random_qfuzzy_subgroup(group, Q, Scripted(2), pool)
+    seen = random_qfuzzy_subgroup(group, labels, Scripted(2, 2), pool)
+    one_new = random_qfuzzy_subgroup(group, labels, Scripted(2, 5), pool)
+    random_qfuzzy_subgroup(group, labels, Scripted(5, 2), pool)
+    assert checked == [first, new, one_new] and seen.columns == new.columns * 2
 
 
 def test_random_qfuzzy_draws_from_pool():
@@ -298,7 +342,7 @@ def restricted(group_name, grades, alpha=F(1)):
 def first_map(source, target, injective=None):
     # the first anti-homomorphism, optionally with the given injectivity
     maps = enumerate_maps(standard_group(source), standard_group(target), ANTI_HOMOMORPHISM)
-    return next(f for f in maps if injective is None or is_injective(f) == injective)
+    return next(f for f in maps if injective is None or f.is_injective == injective)
 
 
 def record(claim, f=None, **inputs):
