@@ -61,12 +61,15 @@ def _violation(lhs: int, rhs: int, den: int, at: tuple) -> str:
     return f"lhs = {lhs} < rhs = {rhs} at ({', '.join(at)})"
 
 
-def _pair_condition(t, products) -> ConditionResult:
+def _pair_condition(t, products, anti=False) -> ConditionResult:
     # grade(products[x][y], q) >= min(grade(x, q), grade(y, q)): the closure
-    # over the group's table, the quotient form over its table of x y^-1
+    # over the group's table, the quotient form over its table of x y^-1.
+    # The anti-closure, grade(xy, q) <= max(grade(x, q), grade(y, q)), is the
+    # closure over the negated grades: the same pairs fail, in the same order,
+    # and a violation is rendered with its two sides negated and swapped
     group, dens = t.group, t.dens
     for k, q in enumerate(t.q_labels):
-        col = t.columns[k]
+        col = [-g for g in t.columns[k]] if anti else t.columns[k]
         lo = min(col)  # a pair with an element at lo is bounded by lo: it holds
         live = [x for x, g in enumerate(col) if g > lo]
         for x in live:
@@ -76,31 +79,10 @@ def _pair_condition(t, products) -> ConditionResult:
                 gy = col[y]
                 if col[row[y]] < (gx if gx <= gy else gy):
                     at = (group.label(x), group.label(y), q)
-                    bound = gx if gx <= gy else gy
-                    return ConditionResult(
-                        False, at, _violation(col[row[y]], bound, dens[k], at)
-                    )
-    return ConditionResult(True)
-
-
-def _anti_closure_condition(t) -> ConditionResult:
-    # grade(xy, q) <= max(grade(x, q), grade(y, q))
-    group, table, dens = t.group, t.group.table, t.dens
-    for k, q in enumerate(t.q_labels):
-        col = t.columns[k]
-        hi = max(col)  # a pair with an element at hi is bounded by hi: it holds
-        live = [x for x, g in enumerate(col) if g < hi]
-        for x in live:
-            gx = col[x]
-            row = table[x]
-            for y in live:
-                gy = col[y]
-                if col[row[y]] > (gx if gx >= gy else gy):
-                    at = (group.label(x), group.label(y), q)
-                    bound = gx if gx >= gy else gy
-                    return ConditionResult(
-                        False, at, _violation(bound, col[row[y]], dens[k], at)
-                    )
+                    lhs, rhs = col[row[y]], (gx if gx <= gy else gy)
+                    if anti:
+                        lhs, rhs = -rhs, -lhs
+                    return ConditionResult(False, at, _violation(lhs, rhs, dens[k], at))
     return ConditionResult(True)
 
 
@@ -169,7 +151,8 @@ def check_anti_subgroup(phi: QFuzzySubset) -> CheckReport:
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
     return _report(
-        "anti_closure", _anti_closure_condition(phi), "inverse", _inverse_condition(phi)
+        "anti_closure", _pair_condition(phi, phi.group.table, anti=True),
+        "inverse", _inverse_condition(phi),
     )
 
 

@@ -31,6 +31,7 @@ from .fuzzy import CarrierError, alpha_restrict, parse_fuzzy_file
 from .checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from .lab import (
     CLAIM_ORDER,
+    EXAMPLES,
     EXPECTED_VERIFIED,
     SEARCHES,
     AuditConfig,
@@ -88,7 +89,7 @@ def _build_parser() -> _Parser:
     examples = commands.add_parser("examples", help="re-run worked examples")
     examples_sub = examples.add_subparsers(dest="subcommand", required=True)
     reproduce = examples_sub.add_parser("reproduce", help="reproduce an example")
-    reproduce.add_argument("example_id", choices=["4.5", "4.10"])
+    reproduce.add_argument("example_id", choices=list(EXAMPLES))
 
     return parser
 

@@ -26,7 +26,9 @@ from .grades import (
     scale_grades,
     validate_grade,
 )
-from .groups import FiniteGroup, GroupMap, FileFormatError, direct_product, standard_group
+from .groups import (
+    FiniteGroup, GroupMap, FileFormatError, direct_product, read_sections, standard_group,
+)
 
 
 class CarrierError(ValueError):
@@ -299,50 +301,35 @@ def level_sets(phi: QFuzzySubset, k: int) -> list[tuple[int, frozenset[int]]]:
 
 
 def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
-    lines = text.splitlines()
-    group = None
-    q_labels: list[str] | None = None
-    entries: dict[tuple[str, str], Fraction] = {}
-    in_grades = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if in_grades:
-            parts = line.split()
-            if len(parts) != 3:
-                raise FileFormatError(
-                    f"expected 'element q-label grade', got {line!r}",
-                    line=lineno, field="grades",
-                )
-            elem, q, literal = parts
-            try:
-                value = parse_grade(literal)
-            except GradeError as exc:
-                raise FileFormatError(str(exc), line=lineno, field="grades") from None
-            if (elem, q) in entries:
-                raise FileFormatError(
-                    f"duplicate grade for ({elem}, {q})", line=lineno, field="grades"
-                )
-            entries[(elem, q)] = value
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            raise FileFormatError(f"expected 'key: value', got {line!r}", line=lineno)
-        key = key.strip()
-        value = value.strip()
-        if key == "group":
-            group = resolve_group(value)
-        elif key == "q_labels":
-            q_labels = value.split()
-        elif key == "grades":
-            in_grades = True
-        else:
-            raise FileFormatError(f"unknown key {key!r}", line=lineno, field=key)
-    if group is None:
+    header, body = read_sections(text, ("group", "q_labels"), "grades")
+    if "group" not in header:
         raise FileFormatError("missing group reference", field="group")
+    group = resolve_group(header["group"][0])
+    entries: dict[tuple[str, str], Fraction] = {}
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != 3:
+            raise FileFormatError(
+                f"expected 'element q-label grade', got {line!r}",
+                line=lineno, field="grades",
+            )
+        elem, q, literal = parts
+        try:
+            value = parse_grade(literal)
+        except GradeError as exc:
+            raise FileFormatError(str(exc), line=lineno, field="grades") from None
+        if (elem, q) in entries:
+            raise FileFormatError(
+                f"duplicate grade for ({elem}, {q})", line=lineno, field="grades"
+            )
+        entries[(elem, q)] = value
+    labels, lineno = header.get("q_labels", ("", None))
+    q_labels = labels.split()
     if not q_labels:
         raise FileFormatError("missing q labels", field="q_labels")
+    for q in q_labels:
+        if q_labels.count(q) > 1:
+            raise FileFormatError(f"duplicate q label {q!r}", line=lineno, field="q_labels")
     rows = []
     for elem in group.elements:
         row = []

@@ -518,50 +518,58 @@ def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
 #   c b a e
 
 
-def parse_group_file(text: str) -> FiniteGroup:
-    lines = text.splitlines()
-    name = None
-    elements: list[str] | None = None
-    rows: list[list[str]] = []
-    in_table = False
-    for lineno, raw in enumerate(lines, start=1):
+def read_sections(text: str, keys: tuple[str, ...], body: str):
+    """Split a structured file at its `body:` line, which holds nothing else:
+    the `key: value` lines before it as {key: (value, line)}, each one of
+    `keys` and given once, and the lines after it as (line, text).  Blank and
+    `#` lines are skipped."""
+    header, lines = {}, []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if in_table:
-            rows.append(line.split())
+        if body in header:
+            lines.append((lineno, line))
             continue
         key, sep, value = line.partition(":")
         if not sep:
             raise FileFormatError(f"expected 'key: value', got {line!r}", line=lineno)
         key = key.strip()
-        value = value.strip()
-        if key == "name":
-            name = value
-        elif key == "elements":
-            elements = value.split()
-        elif key == "table":
-            in_table = True
-        else:
+        if key not in keys and key != body:
             raise FileFormatError(f"unknown key {key!r}", line=lineno, field=key)
-    if name is None:
+        if key in header:
+            raise FileFormatError(
+                f"duplicate key {key!r}, first given on line {header[key][1]}",
+                line=lineno, field=key,
+            )
+        if key == body and value.strip():
+            raise FileFormatError(f"text after '{body}:'", line=lineno, field=body)
+        header[key] = (value.strip(), lineno)
+    return header, lines
+
+
+def parse_group_file(text: str) -> FiniteGroup:
+    header, rows = read_sections(text, ("name", "elements"), "table")
+    if "name" not in header:
         raise FileFormatError("missing group name", field="name")
-    if elements is None:
+    if "elements" not in header:
         raise FileFormatError("missing element list", field="elements")
     if not rows:
         raise FileFormatError("missing Cayley table", field="table")
+    elements = header["elements"][0].split()
     index = {label: i for i, label in enumerate(elements)}
     table = []
-    for row in rows:
+    for lineno, row in rows:
         entries = []
-        for label in row:
+        for label in row.split():
             if label not in index:
                 raise FileFormatError(
-                    f"table entry {label!r} is not a declared element", field="table"
+                    f"table entry {label!r} is not a declared element",
+                    line=lineno, field="table",
                 )
             entries.append(index[label])
         table.append(entries)
-    return build_group(name, elements, table)
+    return build_group(header["name"][0], elements, table)
 
 
 def format_group_file(group: FiniteGroup) -> str:

@@ -18,6 +18,9 @@ The bounded searches (`SEARCHES`: R4.3, R4.9 and P4.11's literal reading)
 are records too, whose inputs come from a lazy candidate space: one loop
 keeps the first input that meets the hypothesis and fails the conclusion,
 and `validate_witness` re-checks a witness as replay re-checks a failure.
+The paper's worked examples (`EXAMPLES`) are witnesses of R4.3 and R4.9:
+`reproduce_example` re-checks each with `validate_witness`, then its control
+and its published values, which the table holds as data.
 
 Determinism: every trial derives its own generator from
 (seed, claim id, carrier, trial index), so the same AuditConfig always
@@ -33,8 +36,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .grades import (
-    ZERO,
-    ONE,
     GradePool,
     format_grade,
     parse_grade,
@@ -968,12 +969,13 @@ def _claim_of(claims: dict, record: dict, rule: str) -> Claim:
     return claim
 
 
-def _fails_again(claim: Claim, record: dict) -> bool:
-    # True iff the hypothesis holds on the record's decoded inputs and the
-    # conclusion still fails, on the record's map if the claim has maps
+def _fails_again(claim: Claim, record: dict) -> bool | None:
+    # None when the hypothesis fails on the record's decoded inputs, else
+    # whether the conclusion fails again, on the record's map if the claim
+    # has maps
     inputs = tuple(_decode(name, record[name]) for name in claim.inputs)
     if claim.hypothesis is not None and not claim.hypothesis(*inputs):
-        return False
+        return None
     maps = (_decode("map", record["map"]),) if claim.map_kinds else ()
     return not _judge(claim, inputs, maps, _Tally())[0]
 
@@ -984,125 +986,103 @@ def replay_failure(record: dict) -> bool:
     criterion quantifies over, and the conclusion still fails.  A search
     claim's record names no inputs and never replays as failing."""
     claim = _claim_of(CLAIMS, record, "replay")
-    return claim.carriers != "search" and _fails_again(claim, record)
+    return claim.carriers != "search" and _fails_again(claim, record) is True
 
 
 def validate_witness(record: dict) -> bool:
     """Re-validate a search witness the way `replay_failure` replays a
     failure: True iff its hypothesis holds and its conclusion still fails."""
-    return _fails_again(_claim_of(SEARCHES, record, "witness"), record)
+    return _fails_again(_claim_of(SEARCHES, record, "witness"), record) is True
 
 
-# --- worked-example reproductions ----------------------------------------------
+# --- worked examples -----------------------------------------------------------
+#
+# Each published example is the witness record of a searched remark: 4.5 of
+# R4.3, and 4.10 (the paper's integer construction, on cyclic12) of R4.9 with
+# a control, the example's sigma and pi, on which R4.9 holds.  Its published
+# values are read again from the table its remark judges: restricted at
+# alpha, its grades and its quotient form's first violation; unrestricted,
+# the pair (x, y, grade(x y^-1), min(grade(x), grade(y))), published with
+# lhs < rhs (in klein4, x y^-1 = x y).  The checks' first violations are
+# other pairs, so the notes are literals.
 
 
-def _expect(condition: bool, message: str):
-    if not condition:
-        raise ReproductionError(message)
+def _one_label(group: str, grades: dict) -> dict:
+    # the codec's payload of a table with the one label q
+    rows = {str(x): {"q": g} for x, g in grades.items()}
+    return {"group": group, "q_labels": ["q"], "grades": rows}
+
+
+_SIGMA_4_10 = _one_label("cyclic12", {x: "1/10" if x % 2 else "1/5" for x in range(12)})
+
+EXAMPLES = {
+    "4.5": {
+        "witness": {
+            "claim": "R4.3",
+            "theta": _one_label("klein4", {"e": "1/5", "a": "2/5", "b": "2/5", "c": "3/10"}),
+            "alpha": "9/100",
+            "violation": "lhs = 1/5 < rhs = 2/5 at (a, a, q)",
+        },
+        "published": {
+            "grades": dict.fromkeys("eabc", "9/100"),
+            "pair": ("a", "b", "3/10", "2/5"),
+        },
+        "note": "base table fails closure: lhs = 3/10 < rhs = 2/5 at (a, b, q); "
+                "restriction at alpha = 9/100 is a subgroup",
+    },
+    "4.10": {
+        "witness": {
+            "claim": "R4.9",
+            "theta": _one_label("cyclic12", {x: "0" if x % 3 else "2/5" for x in range(12)}),
+            "sigma": _SIGMA_4_10,
+            "alpha": "1",
+            "violation": "lhs = 1/10 < rhs = 1/5 at (2, 3, q)",
+        },
+        "control": {
+            "claim": "R4.9",
+            "theta": _SIGMA_4_10,
+            "sigma": _one_label("cyclic12", {x: "0" if x % 2 else "1" for x in range(12)}),
+            "alpha": "1",
+        },
+        "published": {
+            "grades": {"3": "2/5", "2": "1/5", "1": "1/10"},
+            "quotient": "lhs = 1/10 < rhs = 1/5 at (2, 3, q)",
+            "pair": ("3", "2", "1/10", "1/5"),
+        },
+        "note": "theta, sigma, pi individually pass; union(theta, sigma) fails with "
+                "lhs = 1/10 < rhs = 1/5 at (2, 3, q); union(sigma, pi) passes",
+    },
+}
 
 
 def reproduce_example(example_id: str) -> AuditReport:
-    """Re-run one of the two published worked examples exactly."""
-    if example_id in ("4.5", "example-4.5"):
-        return _reproduce_4_5()
-    if example_id in ("4.10", "example-4.10"):
-        return _reproduce_4_10()
-    raise ValueError(f"unknown example id {example_id!r}")
-
-
-def _reproduce_4_5() -> AuditReport:
-    group = standard_group("klein4")
-    q = ("q",)
-    theta = make_qfuzzy(
-        group, q,
-        [[Fraction(1, 5)], [Fraction(2, 5)], [Fraction(2, 5)], [Fraction(3, 10)]],
-    )
-    base_report = check_qfuzzy_subgroup(theta)
-    _expect(not base_report.verdict, "base table unexpectedly passed the subgroup check")
-    a, b = group.index("a"), group.index("b")
-    lhs = theta.grade(group.mul(a, b), 0)
-    rhs = min(theta.grade(a, 0), theta.grade(b, 0))
-    _expect(
-        lhs == Fraction(3, 10) and rhs == Fraction(2, 5),
-        f"published violation diverged: grade(ab) = {format_grade(lhs)}, "
-        f"bound = {format_grade(rhs)}",
-    )
-    alpha = Fraction(9, 100)
-    phi = alpha_restrict(theta, alpha)
-    _expect(
-        all(g == alpha for row in phi.grades for g in row),
-        "restriction at 9/100 is not the constant 9/100",
-    )
-    alpha_report = check_alpha_subgroup(phi)
-    _expect(alpha_report.verdict, f"restricted check failed: {alpha_report.detail}")
-    return AuditReport(
-        prop_id="example-4.5",
-        carrier="klein4",
-        trials=1,
-        passes=1,
-        filtered=0,
-        failures=[],
-        status="verified-exhaustive",
-        notes=(
-            "base table fails closure: lhs = 3/10 < rhs = 2/5 at (a, b, q); "
-            "restriction at alpha = 9/100 is a subgroup"
-        ),
-    )
-
-
-def example_4_10_subsets():
-    """The integer-group construction transplanted onto cyclic12."""
-    group = standard_group("cyclic12")
-    q = ("q",)
-
-    def table(fn):
-        return make_qfuzzy(group, q, [[fn(x)] for x in range(12)])
-
-    theta = table(lambda x: Fraction(2, 5) if x % 3 == 0 else ZERO)
-    sigma = table(lambda x: Fraction(1, 5) if x % 2 == 0 else Fraction(1, 10))
-    pi = table(lambda x: ONE if x % 2 == 0 else ZERO)
-    return theta, sigma, pi
-
-
-def _reproduce_4_10() -> AuditReport:
-    theta, sigma, pi = example_4_10_subsets()
-    group = theta.group
-    alpha = ONE
-    for name, subset in (("theta", theta), ("sigma", sigma), ("pi", pi)):
-        report = check_alpha_subgroup(alpha_restrict(subset, alpha))
-        _expect(report.verdict, f"{name} failed its subgroup check: {report.detail}")
-    u = union(theta, sigma)
-    _expect(u.grade(3, 0) == Fraction(2, 5), "union grade at 3 diverged")
-    _expect(u.grade(2, 0) == Fraction(1, 5), "union grade at 2 diverged")
-    _expect(u.grade(1, 0) == Fraction(1, 10), "union grade at 3 - 2 = 1 diverged")
-    union_report = check_alpha_subgroup(alpha_restrict(u, alpha))
-    _expect(not union_report.verdict, "union unexpectedly passed the subgroup check")
-    # the published instance: u(3 - 2) = 1/10 < min(u(3), u(2)) = 1/5
-    _expect(
-        u.grade(1, 0) < min(u.grade(3, 0), u.grade(2, 0)),
-        "published quotient violation at x = 3, y = 2 diverged",
-    )
-    quotient = union_report.conditions["quotient"]
-    _expect(
-        quotient.witness == ("2", "3", "q"),
-        f"quotient witness diverged: {quotient.witness}",
-    )
-    _expect(
-        quotient.detail == "lhs = 1/10 < rhs = 1/5 at (2, 3, q)",
-        f"quotient violation diverged: {quotient.detail}",
-    )
-    sp_report = check_alpha_subgroup(alpha_restrict(union(sigma, pi), alpha))
-    _expect(sp_report.verdict, f"union(sigma, pi) failed: {sp_report.detail}")
-    return AuditReport(
-        prop_id="example-4.10",
-        carrier="cyclic12",
-        trials=1,
-        passes=1,
-        filtered=0,
-        failures=[],
-        status="verified-exhaustive",
-        notes=(
-            "theta, sigma, pi individually pass; union(theta, sigma) fails with "
-            "lhs = 1/10 < rhs = 1/5 at (2, 3, q); union(sigma, pi) passes"
-        ),
-    )
+    """Re-run one of the published worked examples exactly: its witness
+    re-validates, its control holds and its published values read again."""
+    example = EXAMPLES.get(example_id)
+    if example is None:
+        raise ValueError(f"unknown example id {example_id!r}")
+    witness, control = example["witness"], example.get("control")
+    if not validate_witness(witness):
+        raise ReproductionError(f"the {witness['claim']} witness does not re-validate")
+    if control and _fails_again(SEARCHES[control["claim"]], control) is not False:
+        raise ReproductionError(f"the {control['claim']} control does not hold")
+    table = _decode("theta", witness["theta"])
+    if "sigma" in witness:
+        table = union(table, _decode("sigma", witness["sigma"]))
+    subject = alpha_restrict(table, _decode("alpha", witness["alpha"]))
+    group, published = subject.group, example["published"]
+    x, y, *_ = published["pair"]
+    i, j = group.index(x), group.index(y)
+    lhs, rhs = table.grade(group.quotients[i][j], 0), min(table.grade(i, 0), table.grade(j, 0))
+    read = {
+        "grades": {
+            e: format_grade(subject.grade(group.index(e), 0)) for e in published["grades"]
+        },
+        "quotient": check_alpha_subgroup(subject).conditions["quotient"].detail,
+        "pair": (x, y, format_grade(lhs), format_grade(rhs)),
+    }
+    for key, value in published.items():
+        if read[key] != value:
+            raise ReproductionError(f"published {key} diverged: read {read[key]}, not {value}")
+    return AuditReport(f"example-{example_id}", group.name, 1, 1, 0, [],
+                       "verified-exhaustive", example["note"])

@@ -37,7 +37,9 @@ from qfuzzy.lab import (
     CLAIM_ORDER,
     DEFAULT_CATALOG,
     DEFAULT_POOL,
+    EXAMPLES,
     AuditConfig,
+    _decode,
     audit,
     random_qfuzzy_subgroup,
     reproduce_example,
@@ -87,9 +89,9 @@ def test_criterion_1_example_4_5_reproduction():
 
 def test_criterion_2_example_4_10_reproduction():
     report = reproduce_example("4.10")
-    from qfuzzy.lab import example_4_10_subsets
-
-    theta, sigma, pi = example_4_10_subsets()
+    row = EXAMPLES["4.10"]
+    theta, sigma = (_decode(name, row["witness"][name]) for name in ("theta", "sigma"))
+    pi = _decode("sigma", row["control"]["sigma"])  # the control is (sigma, pi)
     u = union(theta, sigma)
     exact = (
         u.grade(1, 0) == F(1, 10)

@@ -6,6 +6,8 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import pytest
+
 import qfuzzy
 from qfuzzy import lab
 from qfuzzy.lab import SEARCHES, AuditConfig, AuditReport, audit, search_counterexample
@@ -135,6 +137,14 @@ def test_fuzzy_check_bad_grade_exits_65(tmp_path):
     result = run_cli("fuzzy", "check", str(path))
     assert result.returncode == 65
     assert "line 4" in result.stderr
+
+
+def test_fuzzy_check_repeated_q_label_exits_65(tmp_path):
+    path = tmp_path / "twice.fuzzy"
+    path.write_text("group: cyclic2\nq_labels: q q\ngrades:\n0 q 1\n1 q 0\n")
+    result = run_cli("fuzzy", "check", str(path))
+    assert result.returncode == 65 and result.stdout == ""
+    assert "duplicate q label 'q' (line 2, field 'q_labels')" in result.stderr
 
 
 def test_check_single_claim():
@@ -282,42 +292,66 @@ def test_audit_runs_are_byte_identical(tmp_path):
     assert first.stdout == second.stdout
 
 
-def test_examples_reproduce_exit_codes():
-    for example, group_name in (("4.5", "klein4"), ("4.10", "cyclic12")):
-        result = run_cli("examples", "reproduce", example)
-        assert result.returncode == 0
-        assert group_name in result.stdout
-    assert run_cli("examples", "reproduce", "9.9").returncode == 64
+EXAMPLE_STDOUT = {
+    "4.5": (
+        "claim        carrier  trials  passes  filtered  failures  status\n"
+        "-----------  -------  ------  ------  --------  --------  -------------------\n"
+        "example-4.5  klein4   1       1       0         0         verified-exhaustive\n"
+        "    note: base table fails closure: lhs = 3/10 < rhs = 2/5 at (a, b, q); "
+        "restriction at alpha = 9/100 is a subgroup\n"
+    ),
+    "4.10": (
+        "claim         carrier   trials  passes  filtered  failures  status\n"
+        "------------  --------  ------  ------  --------  --------  -------------------\n"
+        "example-4.10  cyclic12  1       1       0         0         verified-exhaustive\n"
+        "    note: theta, sigma, pi individually pass; union(theta, sigma) fails with "
+        "lhs = 1/10 < rhs = 1/5 at (2, 3, q); union(sigma, pi) passes\n"
+    ),
+}
 
 
-def test_bundled_example_4_10_files_match_lab_construction():
+@pytest.mark.parametrize("example", sorted(EXAMPLE_STDOUT))
+def test_examples_reproduce_prints_the_pinned_report(example):
+    result = run_cli("examples", "reproduce", example)
+    assert result.returncode == 0
+    assert result.stdout == EXAMPLE_STDOUT[example] and result.stderr == ""
+
+
+def test_examples_reproduce_unknown_id_is_usage_error():
+    result = run_cli("examples", "reproduce", "9.9")
+    assert result.returncode == 64 and result.stdout == ""
+
+
+def test_examples_reproduce_a_diverging_published_value_exits_2(monkeypatch, capsys):
+    from qfuzzy import cli
+
+    monkeypatch.setitem(lab.EXAMPLES["4.5"]["published"], "pair", ("a", "b", "1/5", "2/5"))
+    assert cli.main(["examples", "reproduce", "4.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "reproduction diverged: published pair diverged: "
+        "read ('a', 'b', '3/10', '2/5'), not ('a', 'b', '1/5', '2/5')\n"
+    )
+
+
+# each bundled data file, and the record and input of `lab.EXAMPLES` it holds
+EXAMPLE_FILES = {
+    "example-4.5-theta": ("4.5", "witness", "theta"),
+    "example-4.10-theta": ("4.10", "witness", "theta"),
+    "example-4.10-sigma": ("4.10", "witness", "sigma"),
+    "example-4.10-pi": ("4.10", "control", "sigma"),  # the control is (sigma, pi)
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_FILES))
+def test_bundled_example_files_match_the_examples_table(name):
     from qfuzzy.fuzzy import parse_fuzzy_file
-    from qfuzzy.lab import example_4_10_subsets
 
-    expected = example_4_10_subsets()
-    names = ("theta", "sigma", "pi")
-    for subset, name in zip(expected, names):
-        text = (DATA / f"example-4.10-{name}.fuzzy").read_text()
-        parsed = parse_fuzzy_file(text)
-        assert parsed == subset and parsed.grades == subset.grades
-
-
-def test_bundled_example_4_5_file_matches_lab_construction(monkeypatch):
-    from qfuzzy import lab
-    from qfuzzy.checks import check_qfuzzy_subgroup
-    from qfuzzy.fuzzy import parse_fuzzy_file
-
-    # the table `_reproduce_4_5` builds is the first one it checks
-    checked = []
-
-    def check(theta):
-        checked.append(theta)
-        return check_qfuzzy_subgroup(theta)
-
-    monkeypatch.setattr(lab, "check_qfuzzy_subgroup", check)
-    lab.reproduce_example("4.5")
-    parsed = parse_fuzzy_file((DATA / "example-4.5-theta.fuzzy").read_text())
-    assert parsed == checked[0] and parsed.grades == checked[0].grades
+    example, record, key = EXAMPLE_FILES[name]
+    expected = lab._decode(key, lab.EXAMPLES[example][record][key])
+    parsed = parse_fuzzy_file((DATA / f"{name}.fuzzy").read_text())
+    assert parsed == expected and parsed.grades == expected.grades
 
 
 def test_render_text_handles_empty_and_failure_blocks():

@@ -261,3 +261,24 @@ def test_fuzzy_file_errors():
         parse_fuzzy_file("group: cyclic2\nq_labels: q\ngrades:\n0 q 1.5\n1 q 0\n")
     with pytest.raises(FileFormatError, match="missing grade"):
         parse_fuzzy_file("group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    # a repeated label is named, not reported as a missing grade
+    ("group: cyclic2\nq_labels: q r q\ngrades:\n0 q 1\n1 q 0\n",
+     "duplicate q label 'q' (line 2, field 'q_labels')"),
+    # a repeated header key is refused, not overridden by its last value
+    ("group: cyclic2\nq_labels: q\ngroup: cyclic3\ngrades:\n0 q 1\n1 q 0\n",
+     "duplicate key 'group', first given on line 1 (line 3, field 'group')"),
+    ("q_labels: q\n# a comment\ngroup: cyclic2\nq_labels: r\ngrades:\n0 q 1\n1 q 0\n",
+     "duplicate key 'q_labels', first given on line 1 (line 4, field 'q_labels')"),
+    # a first grade on the grades line is refused, not dropped
+    ("group: cyclic2\nq_labels: q\ngrades: 0 q 1\n1 q 0\n",
+     "text after 'grades:' (line 3, field 'grades')"),
+], ids=["q-label", "group", "q_labels", "grades-line"])
+def test_fuzzy_file_header_errors_are_named_with_their_line(text, message):
+    from qfuzzy.groups import FileFormatError
+
+    with pytest.raises(FileFormatError) as info:
+        parse_fuzzy_file(text)
+    assert str(info.value) == message

@@ -285,8 +285,26 @@ def test_group_file_errors_carry_location():
 
     with pytest.raises(FileFormatError, match="line 1"):
         parse_group_file("nonsense without colon")
-    with pytest.raises(FileFormatError, match="table"):
+    with pytest.raises(FileFormatError, match=r"line 5, field 'table'"):
         parse_group_file("name: g\nelements: e a\ntable:\ne a\na b\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("name: g\nelements: e a\nname: h\ntable:\ne a\na e\n",
+     "duplicate key 'name', first given on line 1 (line 3, field 'name')"),
+    ("elements: e a\nname: g\nelements: e b\ntable:\ne a\na e\n",
+     "duplicate key 'elements', first given on line 1 (line 3, field 'elements')"),
+    # a first row on the table line is refused, not dropped
+    ("name: g\nelements: e a\ntable: e a\na e\n",
+     "text after 'table:' (line 3, field 'table')"),
+], ids=["name", "elements", "table-line"])
+def test_group_file_header_errors_carry_their_line(text, message):
+    # a repeated key is refused, not overridden by its last value
+    from qfuzzy.groups import FileFormatError
+
+    with pytest.raises(FileFormatError) as info:
+        parse_group_file(text)
+    assert str(info.value) == message
 
 
 def test_order_cap_refuses_before_building(monkeypatch):

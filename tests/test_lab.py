@@ -305,12 +305,60 @@ def test_reproduce_example_4_10():
 def test_reproduce_unknown_example_rejected():
     with pytest.raises(ValueError):
         reproduce_example("1.1")
+    with pytest.raises(ValueError):
+        reproduce_example("example-4.5")  # the report's id is no alias
+
+
+@pytest.mark.parametrize("example", sorted(lab.EXAMPLES))
+def test_example_witnesses_are_search_records(example):
+    # what a search would have written: the record re-validates, and its
+    # violation is the one the remark's conclusion reports
+    witness = lab.EXAMPLES[example]["witness"]
+    claim = lab.SEARCHES[witness["claim"]]
+    inputs = [lab._decode(name, witness[name]) for name in claim.inputs]
+    assert validate_witness(witness)
+    assert claim.conclusion(*inputs) == (False, witness["violation"])
+    # the published pair breaks its inequality, so reading it again checks one
+    _, _, lhs, rhs = lab.EXAMPLES[example]["published"]["pair"]
+    assert F(lhs) < F(rhs)
+
+
+@pytest.mark.parametrize("example, key, value", [
+    ("4.5", "grades", {"a": "1/5"}),
+    ("4.5", "pair", ("a", "b", "3/10", "1/5")),
+    ("4.5", "pair", ("a", "c", "3/10", "2/5")),
+    ("4.10", "grades", {"3": "2/5", "2": "1/5", "1": "1/5"}),
+    ("4.10", "quotient", "lhs = 1/10 < rhs = 1/5 at (3, 2, q)"),
+    ("4.10", "pair", ("3", "2", "1/5", "1/5")),
+], ids=["4.5-grades", "4.5-pair-value", "4.5-pair-elements", "4.10-grades", "4.10-quotient",
+        "4.10-pair"])
+def test_reproduce_example_rejects_a_diverging_published_value(monkeypatch, example, key, value):
+    monkeypatch.setitem(lab.EXAMPLES[example]["published"], key, value)
+    with pytest.raises(ReproductionError, match=f"published {key} diverged"):
+        reproduce_example(example)
+
+
+def test_reproduce_example_rejects_a_stale_witness_or_control(monkeypatch):
+    row = lab.EXAMPLES["4.10"]
+    # at alpha = 1 the 4.5 table restricts to itself, no subgroup: no hypothesis
+    monkeypatch.setitem(lab.EXAMPLES["4.5"]["witness"], "alpha", "1")
+    with pytest.raises(ReproductionError, match="R4.3 witness does not re-validate"):
+        reproduce_example("4.5")
+    # the union of sigma and theta is no subgroup: the control fails
+    monkeypatch.setitem(row, "control", dict(row["control"], sigma=row["witness"]["theta"]))
+    with pytest.raises(ReproductionError, match="R4.9 control does not hold"):
+        reproduce_example("4.10")
+    # nor does one whose hypothesis fails: this pi is no subgroup at alpha = 1
+    pi = lab._one_label("cyclic12", {x: "1/5" if x == 1 else "0" for x in range(12)})
+    monkeypatch.setitem(row, "control", dict(row["control"], sigma=pi))
+    with pytest.raises(ReproductionError, match="R4.9 control does not hold"):
+        reproduce_example("4.10")
 
 
 def test_example_4_10_values_match_by_hand():
-    from qfuzzy.lab import example_4_10_subsets
-
-    theta, sigma, pi = example_4_10_subsets()
+    row = lab.EXAMPLES["4.10"]
+    theta, sigma = (lab._decode(name, row["witness"][name]) for name in ("theta", "sigma"))
+    pi = lab._decode("sigma", row["control"]["sigma"])  # the control is (sigma, pi)
     assert theta.grade(0, 0) == F(2, 5) and theta.grade(6, 0) == F(2, 5)
     assert theta.grade(4, 0) == F(0)
     assert sigma.grade(2, 0) == F(1, 5) and sigma.grade(5, 0) == F(1, 10)
