@@ -156,19 +156,14 @@ def check_anti_subgroup(phi: QFuzzySubset) -> CheckReport:
     )
 
 
-@dataclass(frozen=True)
-class KernelSet:
-    per_label: dict[str, frozenset[int]]
-
-
-def kernel_set(phi: QFuzzySubset) -> KernelSet:
+def kernel_set(phi: QFuzzySubset) -> dict[str, frozenset[int]]:
     """Per q label: elements whose grade equals the identity's grade."""
     e = phi.group.identity
-    per_label = {}
+    kernels = {}
     for q, column in zip(phi.q_labels, phi.columns):
         top = column[e]
-        per_label[q] = frozenset([x for x, g in enumerate(column) if g == top])
-    return KernelSet(per_label)
+        kernels[q] = frozenset([x for x, g in enumerate(column) if g == top])
+    return kernels
 
 
 @dataclass(frozen=True)
@@ -185,9 +180,8 @@ class AbelianSlice:
 
 def classify_abelian(phi: QFuzzySubset) -> dict[str, AbelianSlice]:
     """Per q label: is the kernel-style set an abelian crisp subgroup?"""
-    kernels = kernel_set(phi).per_label
     out = {}
-    for q, kernel in kernels.items():
+    for q, kernel in kernel_set(phi).items():
         analysis = analyze_subset(phi.group, kernel)
         out[q] = AbelianSlice(q, kernel, analysis.is_subgroup, analysis.is_abelian)
     return out

@@ -305,6 +305,16 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
     if "group" not in header:
         raise FileFormatError("missing group reference", field="group")
     group = resolve_group(header["group"][0])
+    labels, lineno = header.get("q_labels", ("", None))
+    q_labels = labels.split()
+    if not q_labels:
+        raise FileFormatError("missing q labels", field="q_labels")
+    for q in q_labels:
+        if q_labels.count(q) > 1:
+            raise FileFormatError(f"duplicate q label {q!r}", line=lineno, field="q_labels")
+    # the carrier is known before the body, so a row naming something outside
+    # it is refused at its line
+    elements = set(group.elements)
     entries: dict[tuple[str, str], Fraction] = {}
     for lineno, line in body:
         parts = line.split()
@@ -314,6 +324,10 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
                 line=lineno, field="grades",
             )
         elem, q, literal = parts
+        if elem not in elements or q not in q_labels:
+            raise FileFormatError(
+                f"grade for unknown pair ({elem}, {q})", line=lineno, field="grades"
+            )
         try:
             value = parse_grade(literal)
         except GradeError as exc:
@@ -323,13 +337,6 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
                 f"duplicate grade for ({elem}, {q})", line=lineno, field="grades"
             )
         entries[(elem, q)] = value
-    labels, lineno = header.get("q_labels", ("", None))
-    q_labels = labels.split()
-    if not q_labels:
-        raise FileFormatError("missing q labels", field="q_labels")
-    for q in q_labels:
-        if q_labels.count(q) > 1:
-            raise FileFormatError(f"duplicate q label {q!r}", line=lineno, field="q_labels")
     rows = []
     for elem in group.elements:
         row = []
@@ -338,13 +345,8 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
                 raise FileFormatError(
                     f"missing grade for ({elem}, {q})", field="grades"
                 )
-            row.append(entries.pop((elem, q)))
+            row.append(entries[(elem, q)])
         rows.append(row)
-    if entries:
-        stray = next(iter(entries))
-        raise FileFormatError(
-            f"grade for unknown pair ({stray[0]}, {stray[1]})", field="grades"
-        )
     return make_qfuzzy(group, q_labels, rows)
 
 

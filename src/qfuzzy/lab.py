@@ -71,6 +71,7 @@ from .checks import (
     check_qfuzzy_subgroup,
     classify_abelian,
     classify_cyclic,
+    kernel_set,
 )
 
 
@@ -291,10 +292,11 @@ def _decode(name: str, payload):
 
 # --- per-claim conclusion checks ---------------------------------------------
 #
-# Each takes a claim's named inputs, after the map when the claim quantifies
-# over maps, and returns (ok, violation detail) unless its claim's `verdict`
-# reads another shape; the audit runner and replay_failure share these, and
-# the hypotheses are the predicates next to them.
+# Each judges one evaluation: it takes a claim's named inputs, after the map
+# when the claim quantifies over maps, and returns (ok, violation detail), to
+# which a recorded claim's check appends its finding (held, violation).  The
+# audit runner and replay_failure share these, and the hypotheses are the
+# predicates next to them.
 
 
 def _outcome(report):
@@ -310,27 +312,20 @@ def _check_p3_3(theta, sigma, alpha):
     return False, "restriction of intersection differs from intersection of restrictions"
 
 
-def _first_per_image(maps) -> tuple[GroupMap, ...]:
-    # the first map of each image array, in order: for maps between the same
-    # groups, a later map with the same images fails P3.4 iff that one does
-    first = {}
-    for f in maps:
-        first.setdefault(f.images, f)
-    return tuple(first.values())
+def _image_alpha(f, phi):
+    return alpha_restrict(image_subset(f, phi.base), phi.alpha)
 
 
-def _check_p3_4(maps, theta, sigma, alpha):
-    # returns (ok, violation detail, first failing map)
-    restricted_theta = alpha_restrict(theta, alpha)
-    restricted_sigma = alpha_restrict(sigma, alpha)
-    for f in maps:
-        lhs = alpha_restrict(image_subset(f, theta), alpha)
-        if not lhs.same_grades(image_subset(f, restricted_theta)):
-            return False, "image does not commute with restriction", f
-        lhs = alpha_restrict(preimage_subset(f, sigma), alpha)
-        if not lhs.same_grades(preimage_subset(f, restricted_sigma)):
-            return False, "preimage does not commute with restriction", f
-    return True, None, None
+def _preimage_alpha(f, psi):
+    return alpha_restrict(preimage_subset(f, psi.base), psi.alpha)
+
+
+def _check_p3_4(f, phi, psi):
+    if not _image_alpha(f, phi).same_grades(image_subset(f, phi)):
+        return False, "image does not commute with restriction"
+    if not _preimage_alpha(f, psi).same_grades(preimage_subset(f, psi)):
+        return False, "preimage does not commute with restriction"
+    return True, None
 
 
 def _check_p4_2(theta, alpha):
@@ -338,13 +333,11 @@ def _check_p4_2(theta, alpha):
 
 
 def _check_p4_6(phi):
-    group = phi.group
+    group, kernels = phi.group, kernel_set(phi)
     for q, column in zip(phi.q_labels, phi.columns):
-        top = column[group.identity]
-        if top != max(column):
+        if column[group.identity] != max(column):
             return False, f"identity grade is not maximal for q label {q}"
-        kernel = frozenset([x for x, g in enumerate(column) if g == top])
-        if not analyze_subset(group, kernel).is_subgroup:
+        if not analyze_subset(group, kernels[q]).is_subgroup:
             return False, f"kernel set at q label {q} is not a crisp subgroup"
     return True, None
 
@@ -368,9 +361,10 @@ def _check_p4_7(phi):
 
 
 def _check_p4_11(phi):
+    # the proof's reversed inequalities decide; the literal min-form claim
+    # for the complement is the finding
     comp = complement(phi)
-    anti = check_anti_subgroup(comp)
-    return (*_outcome(anti), *_outcome(check_qfuzzy_subgroup(comp)))
+    return (*_outcome(check_anti_subgroup(comp)), _outcome(check_qfuzzy_subgroup(comp)))
 
 
 def _check_p4_12(phi):
@@ -420,14 +414,6 @@ def _check_r4_16(phi, psi):
     return disjunction, None if disjunction else "neither factor is a subgroup"
 
 
-def _image_alpha(f, phi):
-    return alpha_restrict(image_subset(f, phi.base), phi.alpha)
-
-
-def _preimage_alpha(f, psi):
-    return alpha_restrict(preimage_subset(f, psi.base), psi.alpha)
-
-
 def _all_abelian(phi):
     return all(s.verdict for s in classify_abelian(phi).values())
 
@@ -443,32 +429,37 @@ def _check_p5_7(f, phi):
 
 
 def _check_p5_8(f, psi):
+    # the cancellation step of the claim's argument needs injectivity, so an
+    # injective map decides and any other gives the literal finding
     if _all_abelian(_preimage_alpha(f, psi)):
-        return True, None
-    return False, "preimage kernel set is not an abelian crisp subgroup"
+        result = True, None
+    else:
+        result = False, "preimage kernel set is not an abelian crisp subgroup"
+    return result if f.is_injective else (True, None, result)
+
+
+# P5.10 and P5.11: the level-set inclusion decides, and the cyclicity of the
+# image (preimage) is the finding
 
 
 def _check_p5_10(f, phi):
     sigma = _image_alpha(f, phi)
-    inclusion = True
-    for q in phi.q_labels:
-        for cut in achieved_grades(phi, q):
-            pushed = {f.apply(x) for x in level_set(phi, cut, q)}
-            if not pushed <= level_set(sigma, cut, q):
-                inclusion = False
-    return inclusion, _all_cyclic(sigma)
+    inclusion = all(
+        {f.apply(x) for x in level_set(phi, cut, q)} <= level_set(sigma, cut, q)
+        for q in phi.q_labels for cut in achieved_grades(phi, q)
+    )
+    detail = None if inclusion else "pushed level set escapes the image level set"
+    return inclusion, detail, (_all_cyclic(sigma), None)
 
 
 def _check_p5_11(f, psi):
     theta = _preimage_alpha(f, psi)
-    inclusion = True
-    for q in psi.q_labels:
-        for cut in achieved_grades(psi, q):
-            upper = level_set(psi, cut, q)
-            pulled = {x for x in range(f.source.order) if f.apply(x) in upper}
-            if not pulled <= level_set(theta, cut, q):
-                inclusion = False
-    return inclusion, _all_cyclic(theta)
+    inclusion = all(
+        {x for y in level_set(psi, cut, q) for x in f.fibers[y]} <= level_set(theta, cut, q)
+        for q in psi.q_labels for cut in achieved_grades(psi, q)
+    )
+    detail = None if inclusion else "pulled level set escapes the preimage level set"
+    return inclusion, detail, (_all_cyclic(theta), None)
 
 
 # --- search spaces ---------------------------------------------------------------
@@ -531,25 +522,16 @@ def _two_level_pairs(group, pool: GradePool):
 # --- the claim table -----------------------------------------------------------
 
 
-def _pass_fail(result):
-    # a conclusion's (ok, detail), with no finding
-    return result[0], result[1], None
-
-
-def _inclusion(violation):
-    # _check_p5_10/_check_p5_11 give (inclusion, cyclic): the level-set
-    # inclusion decides, and cyclicity is the finding
-    return lambda result: (result[0], violation, (result[1], None))
-
-
 @dataclass(frozen=True)
 class Claim:
     """One claim of the catalog, declared once.
 
     A trial draws the named inputs on a carrier, is filtered when the
     hypothesis fails on them, and otherwise evaluates the conclusion, once
-    per enumerated map when the claim has map kinds.  Both take the inputs
-    in the order of `inputs`, the conclusion after the map.  A search claim
+    per image array of the enumerated maps when the claim has map kinds.
+    Both take the inputs in the order of `inputs`, the conclusion after the
+    map; it returns (ok, detail) and, for a recorded claim, a finding
+    (held, violation) that the notes tally.  A search claim
     instead takes its inputs from its space, group by group over the
     catalog, and its witness is the first that meets the hypothesis and
     fails the conclusion.  A record holds
@@ -569,9 +551,6 @@ class Claim:
     map_kinds: tuple[str, ...] = ()  # maps from left to right, enumerated
     hypothesis: Callable | None = None  # of the inputs
     conclusion: Callable | None = None  # a _check_*, given the map first
-    verdict: Callable = _pass_fail  # conclusion result -> (ok, detail, finding)
-    per_image: bool = False  # the conclusion takes the first map per image array
-    criterion: Callable | None = None  # maps that decide; the others give findings
     split: Callable | None = None  # maps whose findings are also counted apart
     notes: Callable | None = None  # (tally, maps), or the witness of a search
     space: Callable | None = None  # of a search: (group, pool) -> its inputs, lazily
@@ -657,9 +636,8 @@ CLAIMS = {
     ),
     "P3.4": Claim(
         "image and preimage commute with restriction", "verified", "map_pairs",
-        draws="table", inputs=("theta", "sigma", "alpha"),
+        draws="table", inputs=("phi", "psi"),
         map_kinds=(HOMOMORPHISM, ANTI_HOMOMORPHISM), conclusion=_check_p3_4,
-        per_image=True,
         notes=lambda tally, maps: f"quantified over {len(maps)} enumerated maps per trial",
     ),
     "P4.2": Claim(
@@ -679,12 +657,9 @@ CLAIMS = {
         draws="subgroup", inputs=("theta", "sigma", "alpha"),
         conclusion=lambda theta, sigma, alpha: _check_p4_2(intersection(theta, sigma), alpha),
     ),
-    # the proof's reversed inequalities decide; the literal min-form claim
-    # for the complement is the finding
     "P4.11": Claim(
         "complement of a restricted subgroup (statement vs proof)", "recorded",
         "catalog", draws="subgroup", inputs=("phi",), conclusion=_check_p4_11,
-        verdict=lambda result: (result[0], result[1], (result[2], result[3])),
         notes=_p4_11_note,
     ),
     "P4.12": Claim(
@@ -737,21 +712,17 @@ CLAIMS = {
         hypothesis=lambda phi: _positive_at_identity(phi) and _all_abelian(phi),
         conclusion=_check_p5_7, notes=_anti_maps_note,
     ),
-    # the cancellation step of the claim's argument needs injectivity, so
-    # the injective maps decide and the rest give the literal finding
     "P5.8": Claim(
         "anti-homomorphic preimage preserves abelian kernels", "verified",
         "map_pairs", draws="subgroup", inputs=("psi",),
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_abelian(psi),
-        conclusion=_check_p5_8, criterion=lambda f: f.is_injective,
-        notes=_p5_8_note,
+        conclusion=_check_p5_8, notes=_p5_8_note,
     ),
     "P5.10": Claim(
         "anti-homomorphic image preserves cyclic level structure", "recorded",
         "map_pairs", draws="subgroup", inputs=("phi",),
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda phi: _all_cyclic(phi),
         conclusion=_check_p5_10,
-        verdict=_inclusion("pushed level set escapes the image level set"),
         split=lambda f: f.is_surjective, notes=_cyclic_note("surjective"),
     ),
     "P5.11": Claim(
@@ -759,7 +730,6 @@ CLAIMS = {
         "map_pairs", draws="subgroup", inputs=("psi",),
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_cyclic(psi),
         conclusion=_check_p5_11,
-        verdict=_inclusion("pulled level set escapes the preimage level set"),
         split=lambda f: f.is_injective, notes=_cyclic_note("injective"),
     ),
     # a search's conclusion is the statement its remark denies: a witness
@@ -793,7 +763,7 @@ SEARCHES = {
         "complement of a restricted subgroup is a Q-fuzzy subgroup (literal)",
         "recorded", "search", inputs=("theta", "alpha"), space=_tables,
         hypothesis=lambda theta, alpha: _check_p4_2(theta, alpha)[0],
-        conclusion=lambda theta, alpha: _check_p4_11(alpha_restrict(theta, alpha))[2:],
+        conclusion=lambda theta, alpha: _check_p4_11(alpha_restrict(theta, alpha))[2],
     ),
 }
 
@@ -842,15 +812,9 @@ def _record(claim: Claim, inputs: tuple, f, detail) -> dict:
 def _judge(claim: Claim, inputs: tuple, maps, tally: _Tally):
     """(ok, detail, failing map or None) of one trial whose hypothesis holds,
     stopping at the first failing map; findings go into the tally."""
-    if claim.per_image:
-        return claim.conclusion(maps, *inputs)
     for f in maps if claim.map_kinds else (None,):
-        result = claim.conclusion(*inputs) if f is None else claim.conclusion(f, *inputs)
-        ok, detail, finding = claim.verdict(result)
-        if claim.criterion is not None and not claim.criterion(f):
-            ok, finding = True, (ok, detail)
-        if finding is not None:
-            held, violation = finding
+        ok, detail, *finding = claim.conclusion(*(inputs if f is None else (f, *inputs)))
+        for held, violation in finding:
             # the tally keeps only the first missed finding with a violation
             keep = not held and violation is not None and tally.first_miss is None
             miss = _record(claim, inputs, f, violation) if keep else None
@@ -880,7 +844,7 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
             carrier, names = "->".join(item), item
         left, right = standard_group(names[0]), standard_group(names[1])
         maps = _enumerated_maps(left, right, claim.map_kinds, config.max_source)
-        evaluated = _first_per_image(maps) if claim.per_image else maps
+        evaluated = _first_per_image(maps)
         tally = _Tally()
         for t in range(config.trials):
             rng = _trial_rng(config, prop_id, carrier, t)
@@ -921,6 +885,16 @@ def _enumerated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
     for kind in kinds:
         maps.extend(enumerate_maps(left, right, kind, max_source))
     return tuple(maps)
+
+
+def _first_per_image(maps) -> tuple[GroupMap, ...]:
+    # the first map of each image array, in order: a conclusion reads a map
+    # through its images only, so a later map with the same images judges as
+    # that one does
+    first = {}
+    for f in maps:
+        first.setdefault(f.images, f)
+    return tuple(first.values())
 
 
 def search_counterexample(claim_id: str, config: AuditConfig | None = None):

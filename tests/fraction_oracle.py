@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qfuzzy.checks import CheckReport, ConditionResult, KernelSet
+from qfuzzy.checks import CheckReport, ConditionResult
 from qfuzzy.fuzzy import (
     CarrierError,
     InvariantError,
@@ -360,7 +360,7 @@ def achieved_grades(phi: QFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
-def kernel_set(phi: QFuzzySubset) -> KernelSet:
+def kernel_set(phi: QFuzzySubset) -> dict[str, frozenset[int]]:
     """Per q label: elements whose grade equals the identity's grade."""
     group = phi.group
     e = group.identity
@@ -370,7 +370,7 @@ def kernel_set(phi: QFuzzySubset) -> KernelSet:
         per_label[q] = frozenset(
             x for x in range(group.order) if phi.grades[x][k] == ge
         )
-    return KernelSet(per_label)
+    return per_label
 
 
 def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:

@@ -132,12 +132,12 @@ def test_anti_check_on_complements():
 def test_kernel_sets():
     g = standard_group("klein4")
     constant = alpha_restrict(constant_qfuzzy(g, Q, F(1, 2)), F(1))
-    assert kernel_set(constant).per_label["q"] == frozenset(range(4))
+    assert kernel_set(constant)["q"] == frozenset(range(4))
     phi = alpha_restrict(klein_theta(), F(9, 100))
-    assert kernel_set(phi).per_label["q"] == frozenset(range(4))
+    assert kernel_set(phi)["q"] == frozenset(range(4))
     sub = indicator(g, Q, {0, 1})
     phi = alpha_restrict(sub, F(1))
-    assert kernel_set(phi).per_label["q"] == frozenset({0, 1})
+    assert kernel_set(phi)["q"] == frozenset({0, 1})
 
 
 def test_identity_dominance_and_inverse_invariance_when_verified():
@@ -151,7 +151,7 @@ def test_identity_dominance_and_inverse_invariance_when_verified():
             column = [phi.grade(x, 0) for x in range(g.order)]
             assert column[g.identity] == max(column)
             assert all(column[g.inv(x)] == column[x] for x in range(g.order))
-            assert analyze_subset(g, kernel_set(phi).per_label["q"]).is_subgroup
+            assert analyze_subset(g, kernel_set(phi)["q"]).is_subgroup
 
 
 def test_translation_property_on_verified_subgroups():

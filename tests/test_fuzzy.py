@@ -275,7 +275,13 @@ def test_fuzzy_file_errors():
     # a first grade on the grades line is refused, not dropped
     ("group: cyclic2\nq_labels: q\ngrades: 0 q 1\n1 q 0\n",
      "text after 'grades:' (line 3, field 'grades')"),
-], ids=["q-label", "group", "q_labels", "grades-line"])
+    # a row naming an element or a q label outside the carrier is refused at
+    # its line, not reported as a missing grade
+    ("group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n2 q 0\n1 q 0\n",
+     "grade for unknown pair (2, q) (line 5, field 'grades')"),
+    ("group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n1 r 1/2\n",
+     "grade for unknown pair (1, r) (line 5, field 'grades')"),
+], ids=["q-label", "group", "q_labels", "grades-line", "element", "label"])
 def test_fuzzy_file_header_errors_are_named_with_their_line(text, message):
     from qfuzzy.groups import FileFormatError
 

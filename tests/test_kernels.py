@@ -363,11 +363,13 @@ def test_product_matches_fraction_oracle(data, alpha):
 @given(mapped(), grades)
 def test_map_claim_checks_match_fraction_oracle(case, alpha):
     f, theta, sigma = case
-    ok, detail, failing = lab._check_p3_4((f,), theta, sigma, alpha)
+    phi, psi = alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)
+    ok, detail, failing = lab._judge(lab.CLAIMS["P3.4"], (phi, psi), (f,), lab._Tally())
     assert (ok, detail) == oracle._check_p3_4(f, theta, sigma, alpha)
     assert failing is (None if ok else f)
-    psi = alpha_restrict(sigma, alpha)
-    assert lab._check_p5_11(f, psi) == oracle._check_p5_11(f, psi)
+    inclusion, detail, (cyclic, violation) = lab._check_p5_11(f, psi)
+    assert (inclusion, cyclic) == oracle._check_p5_11(f, psi)
+    assert detail is None and violation is None  # the inclusion always holds
 
 
 @given(st.lists(grades, min_size=1, max_size=6))
@@ -460,6 +462,7 @@ def test_check_p3_4_over_first_maps_per_image_matches_every_map(pair, broken, al
     assert len({f.images for f in maps}) == len(distinct)
     theta = data.draw(tables(left, ("q",)))
     sigma = data.draw(tables(right, ("q",)))
+    phi, psi = alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)
     target = data.draw(st.sampled_from(maps)).images
 
     def image(f, subset):
@@ -474,7 +477,7 @@ def test_check_p3_4_over_first_maps_per_image_matches_every_map(pair, broken, al
 
     with mock.patch.object(lab, "image_subset", image), \
             mock.patch.object(oracle, "image_subset", image):
-        got = lab._check_p3_4(distinct, theta, sigma, alpha)
+        got = lab._judge(lab.CLAIMS["P3.4"], (phi, psi), distinct, lab._Tally())
         expected = (True, None, None)
         for f in maps:  # the oracle's per-map check, in enumeration order
             ok, detail = oracle._check_p3_4(f, theta, sigma, alpha)
@@ -601,8 +604,9 @@ def test_p3_3_and_p3_4_compare_values_over_different_denominators(case, alpha, d
     # side's: the claims still hold, as they compare grades, not integers
     f, theta, sigma = case
     other = data.draw(tables(theta.group, theta.q_labels))
+    phi, psi = alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha)
     with mock.patch.object(lab, "intersection", scaled_up(lab.intersection, (1, 3))):
         assert lab._check_p3_3(theta, other, alpha) == (True, None)
     with mock.patch.object(lab, "image_subset", scaled_up(image_subset, (1, 3))), \
             mock.patch.object(lab, "preimage_subset", scaled_up(preimage_subset, (1, 7))):
-        assert lab._check_p3_4((f,), theta, sigma, alpha) == (True, None, None)
+        assert lab._check_p3_4(f, phi, psi) == (True, None)

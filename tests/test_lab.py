@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -27,6 +28,7 @@ from qfuzzy.lab import (
     search_counterexample,
     validate_witness,
 )
+from qfuzzy.reports import render_structured
 
 F = Fraction
 Q = ("q",)
@@ -135,6 +137,32 @@ def test_audit_accounting_invariants():
             assert r.status.startswith("verified")
         if r.prop_id in RECORDED_CLAIMS:
             assert r.status == "recorded"
+
+
+def rendered_sha256(reports) -> str:
+    return hashlib.sha256(render_structured(reports).encode()).hexdigest()
+
+
+def test_two_label_trial_audit_is_pinned():
+    # the default fingerprint has one q label and no failure record: every
+    # trial claim over two labels, byte for byte
+    trial_claims = {c for c in CLAIM_ORDER if lab.CLAIMS[c].carriers != "search"}
+    reports = audit(trial_claims, AuditConfig(q_size=2, trials=30))
+    assert len({r.prop_id for r in reports}) == 17
+    assert rendered_sha256(reports) == (
+        "e6454e633b06c7825ca0c8e2d9589bdcbf0bbd27431769a0317c5dfa76e02352"
+    )
+
+
+def test_r4_16_failure_record_is_pinned():
+    # a real failure record of a recorded claim, with its finding in the notes
+    config = AuditConfig(q_size=2, trials=400, product_pairs=(("cyclic2", "cyclic2"),))
+    reports = audit({"R4.16"}, config)
+    assert len(reports[0].failures) == 1
+    assert "held in 237/238 applicable trials" in reports[0].notes
+    assert rendered_sha256(reports) == (
+        "5eb56b72010d94727fb04eea89b64e5a14cb42cae394ee147265003bbcadc31f"
+    )
 
 
 def test_only_p4_12_reads_the_quotient_form(monkeypatch):
@@ -442,8 +470,39 @@ def test_replay_p5_8_needs_an_abelian_kernel_and_an_injective_map():
     psi = restricted("cyclic2", [F(1, 2), F(1, 2)])
     f = first_map("symmetric3", "cyclic2", injective=False)
     assert lab._all_abelian(psi)
-    assert lab._check_p5_8(f, psi)[0] is False
+    ok, detail, (held, violation) = lab._check_p5_8(f, psi)
+    assert ok and held is False
     assert not replay_failure(record("P5.8", f, psi=psi))
+
+
+def test_replay_p3_4_record_of_restrictions(monkeypatch):
+    # an image that ignores the restriction breaks commutation: the audit
+    # records phi and psi, and the record fails again only while it is broken
+    real = lab.image_subset
+    monkeypatch.setattr(lab, "image_subset", lambda f, subset: real(f, subset.base or subset))
+    config = AuditConfig(trials=5, map_pairs=(("cyclic2", "cyclic4"),))
+    failures = audit({"P3.4"}, config)[0].failures
+    assert failures and all(replay_failure(r) for r in failures)
+    rec = failures[0]
+    assert list(rec) == ["claim", "carrier", "trial", "phi", "psi", "map", "violation"]
+    assert rec["violation"] == "image does not commute with restriction"
+    monkeypatch.undo()
+    assert not any(replay_failure(r) for r in failures)
+
+
+def test_single_kind_claims_judge_every_enumerated_map():
+    # one map kind enumerates each image array once, so judging the first
+    # map per image array judges every map
+    config = AuditConfig()
+    single = [c for c in CLAIM_ORDER if len(lab.CLAIMS[c].map_kinds) == 1]
+    assert single == ["P5.2", "P5.4", "P5.7", "P5.8", "P5.10", "P5.11"]
+    for prop_id in single:
+        for left, right in config.map_pairs:
+            maps = lab._enumerated_maps(
+                standard_group(left), standard_group(right),
+                lab.CLAIMS[prop_id].map_kinds, config.max_source,
+            )
+            assert lab._first_per_image(maps) == maps
 
 
 def escaping_level_sets(monkeypatch, group_name):
