@@ -14,7 +14,9 @@ Element orderings of the built-in catalog are fixed:
 * products          -- row-major pairs "(x,y)", name "AxB"
 
 Maps between groups are total image arrays tagged homomorphism
-(f(xy) = f(x)f(y)) or anti-homomorphism (f(xy) = f(y)f(x)).
+(f(xy) = f(x)f(y)) or anti-homomorphism (f(xy) = f(y)f(x)), which is a
+homomorphism into the opposite table.  The subgroup a set generates is the
+set of its elements' products (`closure_of`).
 """
 from __future__ import annotations
 
@@ -81,6 +83,11 @@ class FiniteGroup:
     def quotients(self) -> tuple[tuple[int, ...], ...]:
         # quotients[x][y] = x y^-1
         return tuple(tuple(row[j] for j in self.inverses) for row in self.table)
+
+    @cached_property
+    def opposite(self) -> tuple[tuple[int, ...], ...]:
+        # opposite[x][y] = y x, the table an anti-homomorphism respects
+        return tuple(zip(*self.table))
 
     @cached_property
     def at_inverses(self):
@@ -332,10 +339,16 @@ class GroupMap:
         return f"GroupMap({self.kind}: {pairs})"
 
 
-def make_map(source: FiniteGroup, target: FiniteGroup, images, kind: str) -> GroupMap:
-    """Validate the kind equation over all |G|^2 pairs, witness on failure."""
+def _kind_table(target: FiniteGroup, kind: str) -> tuple[tuple[int, ...], ...]:
+    # where f(xy) = f(x)f(y) must hold: the target's table, or its opposite
     if kind not in MAP_KINDS:
         raise MapError(f"unknown map kind {kind!r}")
+    return target.table if kind == HOMOMORPHISM else target.opposite
+
+
+def make_map(source: FiniteGroup, target: FiniteGroup, images, kind: str) -> GroupMap:
+    """Validate the kind equation over all |G|^2 pairs, witness on failure."""
+    table = _kind_table(target, kind)
     images = tuple(images)
     if len(images) != source.order:
         raise MapError(f"images has length {len(images)}, expected {source.order}")
@@ -345,21 +358,17 @@ def make_map(source: FiniteGroup, target: FiniteGroup, images, kind: str) -> Gro
     for x in range(source.order):
         for y in range(source.order):
             lhs = images[source.mul(x, y)]
-            if kind == HOMOMORPHISM:
-                rhs = target.mul(images[x], images[y])
-            else:
-                rhs = target.mul(images[y], images[x])
+            rhs = table[images[x]][images[y]]
             if lhs != rhs:
                 raise MapError(
                     f"{kind} equation fails at "
                     f"({source.label(x)}, {source.label(y)}): "
                     f"f(xy) = {target.label(lhs)} but expected {target.label(rhs)}"
                 )
-    m = GroupMap(source, target, images, kind)
     # Derivable from the kind equation; assert it anyway.
     if images[source.identity] != target.identity:
         raise MapError("map does not send identity to identity")
-    return m
+    return GroupMap(source, target, images, kind)
 
 
 def enumerate_maps(
@@ -368,9 +377,9 @@ def enumerate_maps(
     kind: str,
     max_source: int = 8,
 ) -> list[GroupMap]:
-    """All maps of the given kind, by backtracking over image assignments."""
-    if kind not in MAP_KINDS:
-        raise MapError(f"unknown map kind {kind!r}")
+    """All maps of the given kind, by backtracking over image assignments;
+    image arrays come in ascending order."""
+    table = _kind_table(target, kind)
     if source.order > max_source:
         raise FeasibilityError(
             f"enumerate_maps guard: |source| = {source.order} > {max_source}"
@@ -381,16 +390,10 @@ def enumerate_maps(
 
     def consistent(limit: int) -> bool:
         for i in range(limit + 1):
-            fi = images[i]
+            row = table[images[i]]
             for j in range(limit + 1):
                 prod = source.table[i][j]
-                if prod > limit:
-                    continue
-                if kind == HOMOMORPHISM:
-                    rhs = target.table[fi][images[j]]
-                else:
-                    rhs = target.table[images[j]][fi]
-                if images[prod] != rhs:
+                if prod <= limit and images[prod] != row[images[j]]:
                     return False
         return True
 
@@ -418,44 +421,34 @@ class CrispSubsetAnalysis:
 
 
 def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
-    """Smallest subgroup containing the subset, by saturation."""
-    current = set(subset)
-    current.add(group.identity)
-    frontier = list(current)
+    """The subgroup the subset generates: every product of its elements,
+    found by right-multiplying from the identity.  In a finite group an
+    inverse is a positive power, so products are enough."""
+    generators = frozenset(subset)
+    for x in generators:
+        if not 0 <= x < group.order:
+            raise GroupError(f"subset element {x} is not an element index")
+    closed = {group.identity}
+    frontier = [group.identity]
     while frontier:
-        x = frontier.pop()
-        for y in list(current):
-            for z in (group.mul(x, y), group.mul(y, x)):
-                if z not in current:
-                    current.add(z)
-                    frontier.append(z)
-        ix = group.inv(x)
-        if ix not in current:
-            current.add(ix)
-            frontier.append(ix)
-    return frozenset(current)
+        row = group.table[frontier.pop()]
+        for x in generators:
+            if row[x] not in closed:
+                closed.add(row[x])
+                frontier.append(row[x])
+    return frozenset(closed)
 
 
 def _analyze(group: FiniteGroup, subset: frozenset[int]) -> CrispSubsetAnalysis:
     closed = closure_of(group, subset)
-    is_subgroup = bool(subset) and closed == subset
     is_abelian = all(
         group.mul(x, y) == group.mul(y, x) for x in closed for y in closed
     )
-    generator = None
-    for x in sorted(closed):
-        power = group.identity
-        generated = {power}
-        while True:
-            power = group.mul(power, x)
-            if power in generated:
-                break
-            generated.add(power)
-        if generated == closed:
-            generator = x
-            break
+    generator = next(
+        (x for x in sorted(closed) if closure_of(group, (x,)) == closed), None
+    )
     return CrispSubsetAnalysis(
-        is_subgroup=is_subgroup,
+        is_subgroup=bool(subset) and closed == subset,
         closure=closed,
         is_abelian=is_abelian,
         is_cyclic=generator is not None,
@@ -473,38 +466,33 @@ def _lattice_analyses(group: FiniteGroup) -> dict[frozenset[int], CrispSubsetAna
 def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
     """Subgroup test for a crisp element set plus closure/abelian/cyclic data.
 
-    Abelian/cyclic verdicts refer to the closure; cyclicity is decided by
-    testing each closure element as a generator (smallest index wins).
-    A subgroup's analysis is read from a table built once per group by the
-    same procedure.
+    Abelian/cyclic verdicts refer to the closure, which is cyclic when some
+    <x> is all of it (the least such x is the generator).  A subgroup's
+    analysis is read from a table built once per group the same way.
     """
     subset = frozenset(subset)
-    known = _lattice_analyses(group).get(subset)
-    if known is not None:
-        return known
-    for x in subset:
-        if not 0 <= x < group.order:
-            raise GroupError(f"subset element {x} is not an element index")
-    return _analyze(group, subset)
+    return _lattice_analyses(group).get(subset) or _analyze(group, subset)
 
 
 @lru_cache(maxsize=None)
 def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
-    """Every subgroup, found by closing each known subgroup with one new
-    generator until a fixpoint; sorted by (size, elements) for determinism."""
-    trivial = frozenset({group.identity})
-    known = {trivial}
-    frontier = [trivial]
+    """Every subgroup, by cyclic extension: join each known subgroup with each
+    cyclic subgroup <x> not inside it until nothing new appears.  A subgroup
+    keeps the generators it was found with, so a join closes one more.
+    Sorted by (size, elements) for determinism."""
+    cyclic = {closure_of(group, (x,)): x for x in range(group.order)}
+    generators = {closure_of(group, ()): ()}
+    frontier = list(generators)
     while frontier:
         h = frontier.pop()
-        for g in range(group.order):
-            if g in h:
-                continue
-            extended = closure_of(group, h | {g})
-            if extended not in known:
-                known.add(extended)
-                frontier.append(extended)
-    return tuple(sorted(known, key=lambda s: (len(s), sorted(s))))
+        for c, x in cyclic.items():
+            if not c <= h:
+                gens = generators[h] + (x,)
+                joined = closure_of(group, gens)
+                if joined not in generators:
+                    generators[joined] = gens
+                    frontier.append(joined)
+    return tuple(sorted(generators, key=lambda s: (len(s), sorted(s))))
 
 
 # --- group file format -----------------------------------------------------

@@ -5,15 +5,19 @@ as the checks did before they moved to scaled integers and skipped the pairs
 that cannot fail; `check_*` compose them the way `qfuzzy.checks` does, and
 `validate_grade` is the all-`Fraction` grade validation.  The grade helpers
 below are those the kernels used while tables stored `Fraction`s and were
-scaled to integers on every call.  `compose_with_inversion` builds
-anti-homomorphisms another way than `enumerate_maps` does, and
-`constant_qfuzzy` is a table builder the tests share.  Only the tests use
-this module.
+scaled to integers on every call.  `closure_of` (by saturation),
+`all_subgroups` (closing each known subgroup with one more element) and the
+power loop in `analyze_subset` find subgroups and generators the way
+`qfuzzy.groups` did before it built every subgroup from products of its
+generators.  `compose_with_inversion` builds anti-homomorphisms another way
+than `enumerate_maps` does, and `constant_qfuzzy` is a table builder the
+tests share.  Only the tests use this module.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from qfuzzy.checks import CheckReport, ConditionResult
 from qfuzzy.fuzzy import (
@@ -31,8 +35,6 @@ from qfuzzy.groups import (
     FiniteGroup,
     GroupError,
     GroupMap,
-    all_subgroups,
-    closure_of,
     direct_product,
 )
 from qfuzzy.lab import (
@@ -217,9 +219,9 @@ def check_anti_subgroup(phi) -> CheckReport:
 # --- fuzzy subsets, kernels and crisp subsets ----------------------------------
 #
 # The versions below compare grades as `Fraction`s (or, for `analyze_subset`,
-# close every subset anew), exactly as `qfuzzy.fuzzy`, `qfuzzy.checks`,
-# `qfuzzy.groups` and the `qfuzzy.lab` claim checks did before they moved to
-# integer comparisons and the cached lattice table.  Each builds its result
+# close every subset anew by saturation), exactly as `qfuzzy.fuzzy`,
+# `qfuzzy.checks`, `qfuzzy.groups` and the `qfuzzy.lab` claim checks did
+# before they moved to integer comparisons and the cached lattice table.  Each builds its result
 # from a `Fraction` table, so its integer columns come from that table.
 
 
@@ -371,6 +373,44 @@ def kernel_set(phi: QFuzzySubset) -> dict[str, frozenset[int]]:
             x for x in range(group.order) if phi.grades[x][k] == ge
         )
     return per_label
+
+
+def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
+    """Smallest subgroup containing the subset, by saturation."""
+    current = set(subset)
+    current.add(group.identity)
+    frontier = list(current)
+    while frontier:
+        x = frontier.pop()
+        for y in list(current):
+            for z in (group.mul(x, y), group.mul(y, x)):
+                if z not in current:
+                    current.add(z)
+                    frontier.append(z)
+        ix = group.inv(x)
+        if ix not in current:
+            current.add(ix)
+            frontier.append(ix)
+    return frozenset(current)
+
+
+@lru_cache(maxsize=None)
+def all_subgroups(group: FiniteGroup) -> tuple[frozenset[int], ...]:
+    """Every subgroup, found by closing each known subgroup with one new
+    generator until a fixpoint; sorted by (size, elements) for determinism."""
+    trivial = frozenset({group.identity})
+    known = {trivial}
+    frontier = [trivial]
+    while frontier:
+        h = frontier.pop()
+        for g in range(group.order):
+            if g in h:
+                continue
+            extended = closure_of(group, h | {g})
+            if extended not in known:
+                known.add(extended)
+                frontier.append(extended)
+    return tuple(sorted(known, key=lambda s: (len(s), sorted(s))))
 
 
 def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:

@@ -8,6 +8,7 @@ from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     MAX_ORDER,
     HOMOMORPHISM,
+    MAP_KINDS,
     FeasibilityError,
     GroupError,
     MapError,
@@ -22,6 +23,7 @@ from qfuzzy.groups import (
     parse_group_file,
     standard_group,
 )
+from qfuzzy.lab import DEFAULT_CATALOG, DEFAULT_MAP_PAIRS
 
 KLEIN_TABLE = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -226,6 +228,47 @@ def test_all_subgroups_counts():
     assert len(all_subgroups(standard_group("cyclic6"))) == 4
     assert len(all_subgroups(standard_group("quaternion8"))) == 6
     assert len(all_subgroups(standard_group("dihedral4"))) == 10
+
+
+@pytest.mark.parametrize("name, count", [
+    ("cyclic128", 8),  # one subgroup per divisor
+    ("cyclic48", 10),
+    # Gaussian binomials over GF(2): 1 + 31 + 155 + 155 + 31 + 1
+    ("cyclic2xcyclic2xcyclic2xcyclic2xcyclic2", 374),
+    # counted apart from qfuzzy, by brute force over generator triples
+    ("cyclic4xcyclic4xcyclic4", 129),
+])
+def test_lattices_at_max_order_scale(name, count):
+    g = standard_group(name)
+    subs = all_subgroups(g)
+    assert len(subs) == len(set(subs)) == count
+    assert list(subs) == sorted(subs, key=lambda s: (len(s), sorted(s)))
+    assert all(closure_of(g, s) == s for s in subs)
+    lattice = set(subs)
+    assert all(a & b in lattice for a in subs for b in subs)
+
+
+@pytest.mark.parametrize("subset, bad", [({-1}, -1), ({7}, 7), ({0, 4}, 4)])
+def test_closure_of_refuses_indices_outside_the_group(subset, bad):
+    with pytest.raises(GroupError, match=f"^subset element {bad} is not an element index$"):
+        closure_of(standard_group("klein4"), subset)
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+@pytest.mark.parametrize("source, target", DEFAULT_MAP_PAIRS, ids="->".join)
+def test_enumerate_maps_yields_ascending_image_arrays_once(source, target, kind):
+    # the audit's first map per image and its failure records read this order
+    images = [
+        m.images for m in enumerate_maps(standard_group(source), standard_group(target), kind)
+    ]
+    assert images and images == sorted(set(images))
+
+
+@pytest.mark.parametrize("name", DEFAULT_CATALOG)
+def test_opposite_table_reverses_each_product(name):
+    g = standard_group(name)
+    for x, y in itertools.product(range(g.order), repeat=2):
+        assert g.opposite[x][y] == g.table[y][x]
 
 
 def test_group_file_round_trip():

@@ -41,12 +41,16 @@ from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
     GroupError,
+    all_subgroups,
     analyze_subset,
+    closure_of,
+    direct_product,
     standard_group,
 )
 from qfuzzy.lab import (
     DEFAULT_CATALOG,
     DEFAULT_POOL,
+    DEFAULT_PRODUCT_PAIRS,
     AuditConfig,
     random_qfuzzy,
     random_qfuzzy_subgroup,
@@ -393,6 +397,40 @@ def test_analyze_subset_matches_direct_closure_on_every_subset(name):
     group = standard_group(name)
     for mask in range(2 ** group.order):
         subset = [x for x in range(group.order) if mask >> x & 1]
+        assert analyze_subset(group, subset) == oracle.analyze_subset(group, subset)
+
+
+# the catalog, the default product pairs' products, and larger groups, each once
+LATTICE_GROUPS = tuple(dict.fromkeys(
+    [standard_group(name) for name in DEFAULT_CATALOG]
+    + [direct_product(standard_group(a), standard_group(b)) for a, b in DEFAULT_PRODUCT_PAIRS]
+    + [standard_group(name) for name in (
+        "cyclic24", "cyclic48", "cyclic2xcyclic12", "symmetric3xsymmetric3",
+        "dihedral4xcyclic2",
+    )]
+))
+
+
+@pytest.mark.parametrize("group", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_lattice_matches_the_saturation_lattice(group):
+    assert all_subgroups(group) == oracle.all_subgroups(group)
+
+
+@pytest.mark.parametrize("group", LATTICE_GROUPS, ids=lambda g: g.name)
+def test_closure_by_products_matches_saturation(group):
+    # every subset up to order 8, sampled subsets above it
+    if group.order <= 8:
+        subsets = [
+            [x for x in range(group.order) if mask >> x & 1]
+            for mask in range(2 ** group.order)
+        ]
+    else:
+        rng = random.Random(group.name)
+        subsets = [
+            rng.sample(range(group.order), rng.randint(0, 5)) for _ in range(200)
+        ]
+    for subset in subsets:
+        assert closure_of(group, subset) == oracle.closure_of(group, subset)
         assert analyze_subset(group, subset) == oracle.analyze_subset(group, subset)
 
 
