@@ -187,6 +187,12 @@ def classify_abelian(phi: QFuzzySubset) -> dict[str, AbelianSlice]:
     return out
 
 
+def is_cyclic_subgroup(level) -> bool:
+    """The level test of the cyclic claims: the set is a crisp subgroup, and
+    a cyclic one.  `level` is a `LevelVerdict` or a subset analysis."""
+    return level.is_subgroup and level.is_cyclic
+
+
 @dataclass(frozen=True)
 class LevelVerdict:
     cut: Fraction
@@ -202,7 +208,7 @@ class CyclicSlice:
 
     @property
     def verdict(self) -> bool:
-        return all(lv.is_subgroup and lv.is_cyclic for lv in self.levels)
+        return all(map(is_cyclic_subgroup, self.levels))
 
 
 def classify_cyclic(phi: QFuzzySubset) -> dict[str, CyclicSlice]:

@@ -241,7 +241,8 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
     Zero is the only choice keeping the image monotone while staying inside
     [0, 1]; it is isolated here.
     """
-    if theta.group != f.source:
+    # identity first: the dataclass compare runs only for distinct groups
+    if theta.group is not f.source and theta.group != f.source:
         raise CarrierError("subset does not live on the map's source group")
     fibers = f.fibers
     columns = tuple([
@@ -252,7 +253,7 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
 
 
 def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
-    if sigma.group != f.target:
+    if sigma.group is not f.target and sigma.group != f.target:
         raise CarrierError("subset does not live on the map's target group")
     images = f.images
     columns = tuple([tuple([column[y] for y in images]) for column in sigma.columns])
@@ -316,6 +317,7 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
     # it is refused at its line
     elements = set(group.elements)
     entries: dict[tuple[str, str], Fraction] = {}
+    parsed: dict[str, Fraction] = {}  # each distinct literal, parsed and validated once
     for lineno, line in body:
         parts = line.split()
         if len(parts) != 3:
@@ -328,10 +330,12 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
             raise FileFormatError(
                 f"grade for unknown pair ({elem}, {q})", line=lineno, field="grades"
             )
-        try:
-            value = parse_grade(literal)
-        except GradeError as exc:
-            raise FileFormatError(str(exc), line=lineno, field="grades") from None
+        value = parsed.get(literal)
+        if value is None:
+            try:
+                value = parsed[literal] = parse_grade(literal)
+            except GradeError as exc:
+                raise FileFormatError(str(exc), line=lineno, field="grades") from None
         if (elem, q) in entries:
             raise FileFormatError(
                 f"duplicate grade for ({elem}, {q})", line=lineno, field="grades"
@@ -347,7 +351,9 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
                 )
             row.append(entries[(elem, q)])
         rows.append(row)
-    return make_qfuzzy(group, q_labels, rows)
+    # the rows span the group's elements and the q labels, which are distinct,
+    # and every grade is validated: the table needs no second check
+    return QFuzzySubset.from_grades(group, tuple(q_labels), rows)
 
 
 def format_fuzzy_file(theta: QFuzzySubset) -> str:

@@ -113,9 +113,14 @@ class FiniteGroup:
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order {self.order})"
 
-    def __hash__(self) -> int:
-        # cheap for the lru_caches keyed by groups; equal groups hash equal
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.name, self.order))
+
+    def __hash__(self) -> int:
+        # computed once per group, for the lru_caches keyed by groups; equal
+        # groups have equal names and orders, so they hash equal
+        return self._hash
 
 
 def build_group(name: str, element_names, table) -> FiniteGroup:

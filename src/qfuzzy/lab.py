@@ -34,6 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge
 
 from .grades import (
     GradePool,
@@ -54,12 +55,11 @@ from .groups import (
 )
 from .fuzzy import (
     QFuzzySubset,
-    achieved_grades,
     alpha_restrict,
     complement,
     image_subset,
     intersection,
-    level_set,
+    level_sets,
     make_qfuzzy,
     preimage_subset,
     product,
@@ -70,7 +70,7 @@ from .checks import (
     check_anti_subgroup,
     check_qfuzzy_subgroup,
     classify_abelian,
-    classify_cyclic,
+    is_cyclic_subgroup,
     kernel_set,
 )
 
@@ -419,7 +419,14 @@ def _all_abelian(phi):
 
 
 def _all_cyclic(phi):
-    return all(s.verdict for s in classify_cyclic(phi).values())
+    # every level set at an achieved cut of every label, read from its integer
+    # column, is a cyclic subgroup: classify_cyclic's verdict, stopping at the
+    # first level set that is not
+    group = phi.group
+    return all(
+        is_cyclic_subgroup(analyze_subset(group, members))
+        for k in range(len(phi.columns)) for _, members in level_sets(phi, k)
+    )
 
 
 def _check_p5_7(f, phi):
@@ -439,25 +446,51 @@ def _check_p5_8(f, psi):
 
 
 # P5.10 and P5.11: the level-set inclusion decides, and the cyclicity of the
-# image (preimage) is the finding
+# image (preimage) is the finding.  "Each pushed level set lies in the image's
+# level set at every achieved cut" is the statement sigma(f(x)) >= phi(x) at
+# every x and q label: take the cut phi(x) itself (the level-subgroup reading
+# of Das 1981).  Pulled level sets likewise give theta(x) >= psi(f(x)).  Both
+# hold by construction: sigma(f(x)) = min(max over the fiber of f(x), alpha)
+# >= phi(x), and theta(x) = psi(f(x)).
+
+
+def _at_least(a, da, b, db) -> bool:
+    # a[i] / da >= b[i] / db at every i
+    if da == db:
+        return all(map(ge, a, b))
+    return all([x * db >= y * da for x, y in zip(a, b)])
+
+
+def _pushed_within(f, phi, sigma) -> bool:
+    """sigma(f(x)) >= phi(x) at every x and q label: f carries every level
+    set of phi into sigma's level set at the same cut."""
+    images = f.images
+    return all(
+        _at_least([s[y] for y in images], ds, p, dp)
+        for s, ds, p, dp in zip(sigma.columns, sigma.dens, phi.columns, phi.dens)
+    )
+
+
+def _pulled_within(f, psi, theta) -> bool:
+    """theta(x) >= psi(f(x)) at every x and q label: f pulls every level set
+    of psi back into theta's level set at the same cut."""
+    images = f.images
+    return all(
+        _at_least(t, dt, [p[y] for y in images], dp)
+        for t, dt, p, dp in zip(theta.columns, theta.dens, psi.columns, psi.dens)
+    )
 
 
 def _check_p5_10(f, phi):
     sigma = _image_alpha(f, phi)
-    inclusion = all(
-        {f.apply(x) for x in level_set(phi, cut, q)} <= level_set(sigma, cut, q)
-        for q in phi.q_labels for cut in achieved_grades(phi, q)
-    )
+    inclusion = _pushed_within(f, phi, sigma)
     detail = None if inclusion else "pushed level set escapes the image level set"
     return inclusion, detail, (_all_cyclic(sigma), None)
 
 
 def _check_p5_11(f, psi):
     theta = _preimage_alpha(f, psi)
-    inclusion = all(
-        {x for y in level_set(psi, cut, q) for x in f.fibers[y]} <= level_set(theta, cut, q)
-        for q in psi.q_labels for cut in achieved_grades(psi, q)
-    )
+    inclusion = _pulled_within(f, psi, theta)
     detail = None if inclusion else "pulled level set escapes the preimage level set"
     return inclusion, detail, (_all_cyclic(theta), None)
 

@@ -9,9 +9,14 @@ scaled to integers on every call.  `closure_of` (by saturation),
 `all_subgroups` (closing each known subgroup with one more element) and the
 power loop in `analyze_subset` find subgroups and generators the way
 `qfuzzy.groups` did before it built every subgroup from products of its
-generators.  `compose_with_inversion` builds anti-homomorphisms another way
-than `enumerate_maps` does, and `constant_qfuzzy` is a table builder the
-tests share.  Only the tests use this module.
+generators.  `pushed_within` and `pulled_within` are P5.10's and P5.11's
+inclusions in their level-set form, over every achieved cut, and
+`_all_cyclic` reads one verdict from the whole `classify_cyclic` report, as
+the lab's checks did before they compared grades pointwise and stopped at
+the first level set that is not a cyclic subgroup.  `compose_with_inversion`
+builds anti-homomorphisms another way than `enumerate_maps` does, and
+`constant_qfuzzy` is a table builder the tests share.  Only the tests use
+this module.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from qfuzzy.checks import CheckReport, ConditionResult
+from qfuzzy.checks import CheckReport, ConditionResult, classify_cyclic
 from qfuzzy.fuzzy import (
     CarrierError,
     InvariantError,
@@ -39,7 +44,7 @@ from qfuzzy.groups import (
 )
 from qfuzzy.lab import (
     GeneratorSoundnessError,
-    _all_cyclic,
+    _image_alpha,
     _preimage_alpha,
 )
 
@@ -519,8 +524,27 @@ def _positive_at_identity(phi):
     return all(g > 0 for g in phi.grades[e])
 
 
-def _check_p5_11(f, psi):
-    theta = _preimage_alpha(f, psi)
+def _all_cyclic(phi):
+    # the whole per-label report, read for its one verdict: every level set
+    # is a subgroup, and a cyclic one
+    return all(
+        lv.is_subgroup and lv.is_cyclic
+        for slice_ in classify_cyclic(phi).values() for lv in slice_.levels
+    )
+
+
+def pushed_within(f, phi, sigma) -> bool:
+    """The image of phi's level set at each of its achieved cuts lies in
+    sigma's level set at that cut."""
+    return all(
+        {f.apply(x) for x in level_set(phi, cut, q)} <= level_set(sigma, cut, q)
+        for q in phi.q_labels for cut in achieved_grades(phi, q)
+    )
+
+
+def pulled_within(f, psi, theta) -> bool:
+    """The preimage of psi's level set at each of its achieved cuts lies in
+    theta's level set at that cut."""
     inclusion = True
     for q in psi.q_labels:
         for cut in achieved_grades(psi, q):
@@ -530,7 +554,17 @@ def _check_p5_11(f, psi):
             }
             if not pulled <= level_set(theta, cut, q):
                 inclusion = False
-    return inclusion, _all_cyclic(theta)
+    return inclusion
+
+
+def _check_p5_10(f, phi):
+    sigma = _image_alpha(f, phi)
+    return pushed_within(f, phi, sigma), _all_cyclic(sigma)
+
+
+def _check_p5_11(f, psi):
+    theta = _preimage_alpha(f, psi)
+    return pulled_within(f, psi, theta), _all_cyclic(theta)
 
 
 # --- the generators -------------------------------------------------------------

@@ -263,6 +263,23 @@ def test_fuzzy_file_errors():
         parse_fuzzy_file("group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n")
 
 
+def test_fuzzy_file_parses_each_literal_once():
+    from qfuzzy.groups import FileFormatError
+
+    # a bad literal fails at the first line that gives it
+    with pytest.raises(FileFormatError) as info:
+        parse_fuzzy_file("group: cyclic3\nq_labels: q\ngrades:\n0 q 1\n1 q 1.5\n2 q 1.5\n")
+    assert str(info.value) == "grade 3/2 outside [0, 1] (line 5, field 'grades')"
+    # a repeated literal gives every line it is on the same grade
+    text = "group: klein4\nq_labels: q r\ngrades:\n" + "".join(
+        f"{x} {q} {g}\n" for x in "eabc" for q, g in (("q", "0.4"), ("r", "1/3"))
+    )
+    theta = parse_fuzzy_file(text)
+    expected = make_qfuzzy(standard_group("klein4"), ("q", "r"), [[F(2, 5), F(1, 3)]] * 4)
+    assert theta == expected
+    assert (theta.columns, theta.dens) == (expected.columns, expected.dens)
+
+
 @pytest.mark.parametrize("text, message", [
     # a repeated label is named, not reported as a missing grade
     ("group: cyclic2\nq_labels: q r q\ngrades:\n0 q 1\n1 q 0\n",

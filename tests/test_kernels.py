@@ -257,12 +257,12 @@ CUTS = st.sampled_from(POOL + (F(1, 6), F(3, 10), F(2, 3)))
 
 
 @st.composite
-def mapped(draw):
+def mapped(draw, max_labels=2):
     """A map with a table on its source and one on its target, sharing q labels."""
     left, right = (standard_group(g) for g in draw(st.sampled_from(MAP_PAIRS)))
     maps = lab._enumerated_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)
     f = draw(st.sampled_from(maps))
-    q_labels = tuple(f"q{i}" for i in range(draw(st.integers(1, 2))))
+    q_labels = tuple(f"q{i}" for i in range(draw(st.integers(1, max_labels))))
     return f, draw(tables(f.source, q_labels)), draw(tables(f.target, q_labels))
 
 
@@ -374,6 +374,33 @@ def test_map_claim_checks_match_fraction_oracle(case, alpha):
     inclusion, detail, (cyclic, violation) = lab._check_p5_11(f, psi)
     assert (inclusion, cyclic) == oracle._check_p5_11(f, psi)
     assert detail is None and violation is None  # the inclusion always holds
+
+
+@given(mapped(max_labels=3), grades, grades)
+def test_pointwise_inclusions_match_level_set_inclusions(case, a, b):
+    # any table on each side, not only a map's image or preimage, each
+    # restricted at its own alpha: the inclusion can fail, and the two sides'
+    # denominators can differ
+    f, theta, sigma = case
+    phi, psi = alpha_restrict(theta, a), alpha_restrict(sigma, b)
+    assert lab._pushed_within(f, phi, psi) == oracle.pushed_within(f, phi, psi)
+    assert lab._pulled_within(f, psi, phi) == oracle.pulled_within(f, psi, phi)
+
+
+@given(mapped(max_labels=3), grades)
+def test_check_p5_10_matches_fraction_oracle(case, alpha):
+    f, theta, _ = case
+    phi = alpha_restrict(theta, alpha)
+    inclusion, detail, (cyclic, violation) = lab._check_p5_10(f, phi)
+    assert (inclusion, cyclic) == oracle._check_p5_10(f, phi)
+    assert detail is None and violation is None  # the inclusion always holds
+
+
+@given(tables(), grades)
+def test_all_cyclic_matches_the_classify_cyclic_report(theta, alpha):
+    for phi in (theta, alpha_restrict(theta, alpha)):
+        assert lab._all_cyclic(phi) == oracle._all_cyclic(phi)
+        assert lab._all_cyclic(phi) == all(s.verdict for s in classify_cyclic(phi).values())
 
 
 @given(st.lists(grades, min_size=1, max_size=6))

@@ -7,7 +7,7 @@ import pytest
 
 from qfuzzy import lab
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
-from qfuzzy.fuzzy import alpha_restrict, make_qfuzzy
+from qfuzzy.fuzzy import QFuzzySubset, alpha_restrict, make_qfuzzy
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
@@ -505,19 +505,24 @@ def test_single_kind_claims_judge_every_enumerated_map():
             assert lab._first_per_image(maps) == maps
 
 
-def escaping_level_sets(monkeypatch, group_name):
+def zeroed_on(monkeypatch, operation, group_name):
     # the level-set inclusion always holds, so replay is shown failing it by
-    # emptying the lab's level sets on one group
-    real = lab.level_set
+    # zeroing every grade of the lab's image or preimage on one group: the
+    # pushed or pulled grades then escape it
+    real = getattr(lab, operation)
 
-    def level(phi, cut, q):
-        return frozenset() if phi.group.name == group_name else real(phi, cut, q)
+    def zeroed(f, subset):
+        out = real(f, subset)
+        if out.group.name != group_name:
+            return out
+        zeros = tuple((0,) * len(column) for column in out.columns)
+        return QFuzzySubset(out.group, out.q_labels, zeros, out.dens)
 
-    monkeypatch.setattr(lab, "level_set", level)
+    monkeypatch.setattr(lab, operation, zeroed)
 
 
 def test_replay_p5_10_needs_cyclic_level_sets(monkeypatch):
-    escaping_level_sets(monkeypatch, "cyclic2")
+    zeroed_on(monkeypatch, "image_subset", "cyclic2")
     cyclic = restricted("cyclic4", [F(1, 2)] * 4)
     assert replay_failure(record("P5.10", first_map("cyclic4", "cyclic2"), phi=cyclic))
     klein = restricted("klein4", [F(1, 2)] * 4)
@@ -528,7 +533,7 @@ def test_replay_p5_10_needs_cyclic_level_sets(monkeypatch):
 
 
 def test_replay_p5_11_needs_cyclic_level_sets(monkeypatch):
-    escaping_level_sets(monkeypatch, "cyclic2")
+    zeroed_on(monkeypatch, "preimage_subset", "cyclic2")
     cyclic = restricted("cyclic4", [F(1, 2)] * 4)
     assert replay_failure(record("P5.11", first_map("cyclic2", "cyclic4"), psi=cyclic))
     klein = restricted("klein4", [F(1, 2)] * 4)
