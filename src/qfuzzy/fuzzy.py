@@ -276,13 +276,6 @@ def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     return _at_or_above(phi.columns[k], -(-n * phi.dens[k] // d))
 
 
-def achieved_grades(phi: QFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
-    """Distinct grades for one q label, plus 0, ascending."""
-    k = phi.q_index(q_label)
-    den = phi.dens[k]
-    return tuple([Fraction(g, den) for g in _achieved(phi.columns[k])])
-
-
 def level_sets(phi: QFuzzySubset, k: int) -> list[tuple[int, frozenset[int]]]:
     """(cut, level set) of the k-th column at each of its grades, plus 0,
     ascending; a cut is an integer over `phi.dens[k]`, as the column is."""

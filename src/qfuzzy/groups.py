@@ -52,8 +52,10 @@ class FileFormatError(ValueError):
         self.field = field
 
 
-# Largest group order built or loaded.  Validating a table is O(n^3) and the
-# checks scan O(n^2) pairs per q label, so larger orders are refused up front.
+# Largest group order built or loaded.  Validating a group's table takes
+# O(n^2 log n) products (O(n^3) to name the witness of a non-associative
+# table) and the checks scan O(n^2) pairs per q label, so larger orders are
+# refused up front.
 MAX_ORDER = 256
 
 
@@ -123,9 +125,51 @@ class FiniteGroup:
         return self._hash
 
 
+def _products(rows, identity: int, generators) -> set[int]:
+    """Every element reached from the identity by right-multiplying with
+    the generators, in the raw table `rows`."""
+    closed = {identity}
+    frontier = [identity]
+    while frontier:
+        row = rows[frontier.pop()]
+        for x in generators:
+            if row[x] not in closed:
+                closed.add(row[x])
+                frontier.append(row[x])
+    return closed
+
+
+def _is_associative(rows, identity: int) -> bool:
+    """Light's test over a greedy generating set: each element the
+    generators chosen so far do not reach becomes the next generator.
+
+    Let A be the elements a with (x a) y = x (a y) for every x and y.  A
+    holds the identity and is closed under the product: for b and c in A,
+    (x bc) y = ((x b) c) y = (x b)(c y) = x (b (c y)) = x (bc y).  So if
+    every generator is in A, every element the walk reaches is, and the
+    table is associative; the converse is plain.  Row x a of the table
+    must equal row x read at row a, compared in one C-level call per row.
+    Order 1 needs no generator, so `itemgetter` never takes one index.
+    """
+    n = len(rows)
+    generators: list[int] = []
+    reached = {identity}
+    while len(reached) < n:
+        generators.append(next(x for x in range(n) if x not in reached))
+        reached = _products(rows, identity, generators)
+    for a in generators:
+        at_a = itemgetter(*rows[a])
+        if any(rows[row[a]] != at_a(row) for row in rows):
+            return False
+    return True
+
+
 def build_group(name: str, element_names, table) -> FiniteGroup:
     """Validate a Cayley table and compute identity and inverses.
 
+    Associativity is decided by Light's test over a greedy generating set
+    (`_is_associative`), in n^2 d products for d generators; only a table it
+    rejects is scanned row-major over all n^3 triples, to name the first.
     The first violated axiom is reported with a concrete witness: a pair
     (i, j) for closure/identity/inverse failures, a triple (i, j, k) for
     associativity.
@@ -157,18 +201,20 @@ def build_group(name: str, element_names, table) -> FiniteGroup:
             break
     if identity is None:
         raise GroupError("no two-sided identity element exists")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
-                    raise GroupError(
-                        "associativity fails at "
-                        f"({elements[i]}, {elements[j]}, {elements[k]}): "
-                        f"({elements[i]}{elements[j]}){elements[k]} = "
-                        f"{elements[rows[rows[i][j]][k]]} but "
-                        f"{elements[i]}({elements[j]}{elements[k]}) = "
-                        f"{elements[rows[i][rows[j][k]]]}"
-                    )
+    if not _is_associative(rows, identity):
+        # name the first failing triple, row-major
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    if rows[rows[i][j]][k] != rows[i][rows[j][k]]:
+                        raise GroupError(
+                            "associativity fails at "
+                            f"({elements[i]}, {elements[j]}, {elements[k]}): "
+                            f"({elements[i]}{elements[j]}){elements[k]} = "
+                            f"{elements[rows[rows[i][j]][k]]} but "
+                            f"{elements[i]}({elements[j]}{elements[k]}) = "
+                            f"{elements[rows[i][rows[j][k]]]}"
+                        )
     inverses = []
     for i in range(n):
         inverse = None
@@ -433,15 +479,7 @@ def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
     for x in generators:
         if not 0 <= x < group.order:
             raise GroupError(f"subset element {x} is not an element index")
-    closed = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        row = group.table[frontier.pop()]
-        for x in generators:
-            if row[x] not in closed:
-                closed.add(row[x])
-                frontier.append(row[x])
-    return frozenset(closed)
+    return frozenset(_products(group.table, group.identity, generators))
 
 
 def _analyze(group: FiniteGroup, subset: frozenset[int]) -> CrispSubsetAnalysis:

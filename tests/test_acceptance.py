@@ -14,10 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from fraction_oracle import compose_with_inversion
+from fraction_oracle import achieved_grades, compose_with_inversion
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from qfuzzy.fuzzy import (
-    achieved_grades,
     alpha_restrict,
     complement,
     indicator,

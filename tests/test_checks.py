@@ -195,7 +195,8 @@ def test_classify_cyclic():
 
 
 def test_level_sets_of_verified_subgroups_are_subgroups():
-    from qfuzzy.fuzzy import achieved_grades, level_set
+    from fraction_oracle import achieved_grades
+    from qfuzzy.fuzzy import level_set
 
     g = standard_group("cyclic6")
     theta = indicator(g, Q, {0, 3}, inside=F(2, 5), outside=F(1, 10))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fraction_oracle import constant_qfuzzy
+from fraction_oracle import achieved_grades, constant_qfuzzy
 from qfuzzy import fuzzy
 from qfuzzy.grades import GradeError, format_grade, parse_grade
 from qfuzzy.groups import HOMOMORPHISM, enumerate_maps, make_map, standard_group
@@ -11,7 +11,6 @@ from qfuzzy.fuzzy import (
     CarrierError,
     InvariantError,
     alpha_restrict,
-    achieved_grades,
     combine,
     compare,
     complement,

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraction_oracle import compose_with_inversion
 from qfuzzy import groups
@@ -62,6 +64,93 @@ def test_build_group_corrupted_klein_names_witness():
     assert "associativity" in str(exc.value) or "identity" in str(exc.value)
 
 
+def first_associativity_failure(elements, rows):
+    """The n^3 row-major scan: the message naming the first failing triple,
+    or None for an associative table."""
+    for i, j, k in itertools.product(range(len(rows)), repeat=3):
+        lhs, rhs = rows[rows[i][j]][k], rows[i][rows[j][k]]
+        if lhs != rhs:
+            x, y, z = elements[i], elements[j], elements[k]
+            return (
+                f"associativity fails at ({x}, {y}, {z}): "
+                f"({x}{y}){z} = {elements[lhs]} but {x}({y}{z}) = {elements[rhs]}"
+            )
+    return None
+
+
+# a Latin square with an identity and two-sided inverses: only associativity
+# can reject it
+LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_build_group_names_first_triple_of_a_loop():
+    with pytest.raises(GroupError) as exc:
+        build_group("loop", ["e", "a", "b", "c", "d"], LOOP)
+    assert str(exc.value) == "associativity fails at (a, a, b): (aa)b = b but a(ab) = d"
+
+
+# carriers of order >= 3 with 1 to 3 generators, abelian or not
+ORACLE_SPECS = [
+    "cyclic3", "klein4", "cyclic5", "symmetric3", "dihedral4", "quaternion8",
+    "cyclic2xcyclic2xcyclic2", "cyclic2xcyclic4", "symmetric3xcyclic2", "cyclic12",
+]
+
+
+def loop_times(g):
+    """LOOP x g, row-major: its first generators, (e, x) for x in g, satisfy
+    (ua)v = u(av), so only a later generator shows it is no group."""
+    k = g.order
+    labels = [f"({u},{x})" for u in "eabcd" for x in g.elements]
+    rows = [
+        [LOOP[u][v] * k + g.table[x][y] for v in range(5) for y in range(k)]
+        for u in range(5) for x in range(k)
+    ]
+    return labels, rows
+
+
+@st.composite
+def tables_with_identity(draw):
+    """(group?, labels, rows): a catalog table, or the loop times a small
+    one, either relabelled by a random permutation or with two entries of a
+    non-identity row swapped away from the identity column, so that the
+    identity stays two-sided.  Only a relabelled catalog table is a group."""
+    if draw(st.booleans()):
+        g = standard_group(draw(st.sampled_from(ORACLE_SPECS)))
+        labels, rows = list(g.elements), [list(row) for row in g.table]
+        identity, is_group = g.identity, True
+    else:
+        g = standard_group(draw(st.sampled_from(["trivial", "cyclic2", "cyclic3"])))
+        (labels, rows), identity, is_group = loop_times(g), 0, False
+    n = len(rows)
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        relabelled = [[0] * n for _ in range(n)]
+        relabels = [""] * n
+        for i in range(n):
+            relabels[perm[i]] = labels[i]
+            for j in range(n):
+                relabelled[perm[i]][perm[j]] = perm[rows[i][j]]
+        return is_group, relabels, relabelled
+    others = [x for x in range(n) if x != identity]
+    x = draw(st.sampled_from(others))
+    j, k = draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+    rows[x][j], rows[x][k] = rows[x][k], rows[x][j]
+    return False, labels, rows
+
+
+@given(tables_with_identity())
+def test_build_group_decides_associativity_as_the_triple_scan(case):
+    is_group, labels, rows = case
+    expected = first_associativity_failure(labels, rows)
+    assert (expected is None) == is_group
+    if expected is None:
+        brute_force_axioms(build_group("t", labels, rows))
+    else:
+        with pytest.raises(GroupError) as exc:
+            build_group("t", labels, rows)
+        assert str(exc.value) == expected
+
+
 def test_build_group_rejects_bad_entries():
     with pytest.raises(GroupError, match="closure"):
         build_group("bad", ["e", "a"], [[0, 1], [1, 7]])
@@ -80,6 +169,7 @@ def test_build_group_rejects_bad_entries():
         ("dihedral4", 8),
         ("quaternion8", 8),
         ("cyclic2xcyclic2", 4),
+        ("cyclic2xcyclic2xcyclic2xcyclic2xcyclic2", 32),
         ("trivial", 1),
     ],
 )

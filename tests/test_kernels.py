@@ -19,7 +19,6 @@ from qfuzzy.checks import (
 )
 from qfuzzy.fuzzy import (
     QFuzzySubset,
-    achieved_grades,
     alpha_restrict,
     combine,
     compare,
@@ -279,15 +278,6 @@ def test_level_set_matches_fraction_oracle(theta, alpha, cut):
     phi = alpha_restrict(theta, alpha)
     for q in phi.q_labels:
         assert level_set(phi, cut, q) == oracle.level_set(phi, cut, q)
-
-
-@given(tables(), grades)
-def test_achieved_grades_match_fraction_oracle(theta, alpha):
-    phi = alpha_restrict(theta, alpha)
-    for q in phi.q_labels:
-        got = achieved_grades(phi, q)
-        assert got == oracle.achieved_grades(phi, q)
-        assert all(type(g) is Fraction for g in got)
 
 
 @given(tables(), grades)
@@ -632,7 +622,6 @@ def test_restriction_off_the_pool_denominator_matches_fraction_oracle(alpha):
                 assert kernel_set(phi) == oracle.kernel_set(phi)
                 for q in phi.q_labels:
                     cuts = oracle.achieved_grades(phi, q)
-                    assert achieved_grades(phi, q) == cuts
                     for cut in cuts + (alpha, F(1, 10), F(1)):
                         assert level_set(phi, cut, q) == oracle.level_set(phi, cut, q)
                 assert lab._check_p4_6(phi) == oracle._check_p4_6(phi)

@@ -3,9 +3,9 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_oracle import achieved_grades
 from qfuzzy.checks import check_alpha_subgroup
 from qfuzzy.fuzzy import (
-    achieved_grades,
     alpha_restrict,
     complement,
     intersection,
