@@ -67,7 +67,7 @@ def _pair_condition(t, products, anti=False) -> ConditionResult:
     # The anti-closure, grade(xy, q) <= max(grade(x, q), grade(y, q)), is the
     # closure over the negated grades: the same pairs fail, in the same order,
     # and a violation is rendered with its two sides negated and swapped
-    group, dens = t.group, t.dens
+    group, den = t.group, t.den
     for k, q in enumerate(t.q_labels):
         col = [-g for g in t.columns[k]] if anti else t.columns[k]
         lo = min(col)  # a pair with an element at lo is bounded by lo: it holds
@@ -82,7 +82,7 @@ def _pair_condition(t, products, anti=False) -> ConditionResult:
                     lhs, rhs = col[row[y]], (gx if gx <= gy else gy)
                     if anti:
                         lhs, rhs = -rhs, -lhs
-                    return ConditionResult(False, at, _violation(lhs, rhs, dens[k], at))
+                    return ConditionResult(False, at, _violation(lhs, rhs, den, at))
     return ConditionResult(True)
 
 
@@ -91,7 +91,7 @@ def _inverse_condition(t) -> ConditionResult:
     # grades are equal, so a column that holds equals itself read at the
     # inverses: one comparison passes it, and the loop runs only to find the
     # first witness
-    group, inverses, dens = t.group, t.group.inverses, t.dens
+    group, inverses, den = t.group, t.group.inverses, t.den
     at_inverses = group.at_inverses
     for k, q in enumerate(t.q_labels):
         col = t.columns[k]
@@ -101,7 +101,7 @@ def _inverse_condition(t) -> ConditionResult:
             if col[inverses[x]] < col[x]:
                 at = (group.label(x), q)
                 return ConditionResult(
-                    False, at, _violation(col[inverses[x]], col[x], dens[k], at)
+                    False, at, _violation(col[inverses[x]], col[x], den, at)
                 )
     return ConditionResult(True)
 
@@ -218,12 +218,11 @@ def classify_cyclic(phi: QFuzzySubset) -> dict[str, CyclicSlice]:
     empty.  Each level set is read from the label's integer column."""
     out = {}
     for k, q in enumerate(phi.q_labels):
-        den = phi.dens[k]
         levels = []
         for cut, members in level_sets(phi, k):
             analysis = analyze_subset(phi.group, members)
             levels.append(LevelVerdict(
-                Fraction(cut, den), members, analysis.is_subgroup, analysis.is_cyclic
+                Fraction(cut, phi.den), members, analysis.is_subgroup, analysis.is_cyclic
             ))
         out[q] = CyclicSlice(q, tuple(levels))
     return out

@@ -6,16 +6,18 @@ grade with min(grade, alpha); it is a Q-fuzzy subset too, one that also
 holds the table it restricts and alpha.  All operations are pure and exact.
 
 A table's working form is its integer columns: `columns[k][x]` is the grade
-of element x at the k-th q label as a numerator over `dens[k]`.  Operations
-build their results' columns from their operands' columns; the `Fraction`
-table `grades` is a view built on first read, for parsing, formatting, the
-codec and witnesses.
+of element x at the k-th q label as a numerator over `den`, one denominator
+for the whole table.  Operations build their results' columns from their
+operands' columns; the `Fraction` table `grades` is a view built on first
+read, for parsing, formatting, the codec and witnesses.  `compare` is the one
+pointwise order between two tables: equality, and inclusion (<=).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import eq, le
 
 from .grades import (
     GradeError,
@@ -39,22 +41,24 @@ class InvariantError(RuntimeError):
     """A restriction identity failed its re-check against the direct result."""
 
 
+def _over(t, den: int):
+    """t's columns as integers over `den`, a multiple of `t.den`."""
+    if den == t.den:
+        return t.columns
+    factor = den // t.den
+    return tuple([tuple([g * factor for g in column]) for column in t.columns])
+
+
 def _pairwise(a, b, merge):
     """Per q label, merge(column of a, column of b), the two over their
-    common denominator: (columns, dens)."""
-    columns, dens = [], []
-    for ca, da, cb, db in zip(a.columns, a.dens, b.columns, b.dens):
-        if da != db:
-            den = math.lcm(da, db)
-            ca, cb, da = [g * (den // da) for g in ca], [g * (den // db) for g in cb], den
-        columns.append(merge(ca, cb))
-        dens.append(da)
-    return tuple(columns), tuple(dens)
+    common denominator: (columns, den)."""
+    den = math.lcm(a.den, b.den)
+    return tuple(map(merge, _over(a, den), _over(b, den))), den
 
 
 @dataclass(eq=False, slots=True)
 class QFuzzySubset:
-    """Integer columns, `columns[k][x]` over `dens[k]`, with the `Fraction`
+    """Integer columns, `columns[k][x]` over `den`, with the `Fraction`
     view `grades[element][q_index]` built on first read.  A restriction
     holds the table it restricts as `base` and its `alpha`; both are None on
     an unrestricted table.  Tables are equal when their group, q labels,
@@ -63,7 +67,7 @@ class QFuzzySubset:
     group: FiniteGroup
     q_labels: tuple[str, ...]
     columns: tuple[tuple[int, ...], ...]
-    dens: tuple[int, ...]
+    den: int
     base: QFuzzySubset | None = None
     alpha: Fraction | None = None
     _view: tuple | None = field(default=None, repr=False)
@@ -73,21 +77,22 @@ class QFuzzySubset:
         """From `grades[element][q_index]`, `Fraction`s taken as given; see
         `make_qfuzzy` for the validating constructor."""
         view = tuple(map(tuple, grades))
-        scaled = [scale_grades(column) for column in zip(*view)]
-        columns, dens = tuple([c for c, _ in scaled]), tuple([d for _, d in scaled])
-        return cls(group, q_labels, columns, dens, _view=view)
+        scaled, den = scale_grades([g for row in view for g in row])
+        width = len(q_labels)
+        columns = tuple([scaled[k::width] for k in range(width)])
+        return cls(group, q_labels, columns, den, _view=view)
 
     @property
     def grades(self) -> tuple[tuple[Fraction, ...], ...]:
         if self._view is None:
+            den = self.den
             self._view = tuple(zip(*[
-                [Fraction(g, den) for g in column]
-                for column, den in zip(self.columns, self.dens)
+                [Fraction(g, den) for g in column] for column in self.columns
             ]))
         return self._view
 
     def grade(self, x: int, k: int) -> Fraction:
-        return Fraction(self.columns[k][x], self.dens[k])
+        return Fraction(self.columns[k][x], self.den)
 
     def q_index(self, label: str) -> int:
         try:
@@ -95,21 +100,13 @@ class QFuzzySubset:
         except ValueError:
             raise CarrierError(f"unknown q label {label!r}") from None
 
-    def same_grades(self, other: QFuzzySubset) -> bool:
-        """Every grade equals the other table's, on a carrier of the same
-        size, whatever the denominators."""
-        return len(self.columns) == len(other.columns) and all(
-            a == b if da == db else all([x * db == y * da for x, y in zip(a, b)])
-            for a, da, b, db in zip(self.columns, self.dens, other.columns, other.dens)
-        )
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         return (
             (self.group, self.q_labels, self.base, self.alpha)
             == (other.group, other.q_labels, other.base, other.alpha)
-            and self.same_grades(other)
+            and compare("equal", self, other)[0]
         )
 
 
@@ -144,21 +141,18 @@ def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:
     """min(grade, alpha) everywhere, as a table holding theta and alpha."""
     alpha = validate_grade(alpha)
     a, b = alpha.as_integer_ratio()
-    columns, dens = [], []
-    for column, den in zip(theta.columns, theta.dens):
-        if den % b:  # alpha is not over the column's denominator: use their lcm
-            factor = b // math.gcd(den, b)
-            column, den = tuple([g * factor for g in column]), den * factor
-        cap = a * (den // b)
-        if max(column) > cap:
-            column = tuple([g if g <= cap else cap for g in column])
-        columns.append(column)
-        dens.append(den)
-    return QFuzzySubset(theta.group, theta.q_labels, tuple(columns), tuple(dens), theta, alpha)
+    den = math.lcm(theta.den, b)  # alpha and every grade over one denominator
+    cap = a * (den // b)
+    columns = tuple([
+        tuple([g if g <= cap else cap for g in column]) if max(column) > cap else column
+        for column in _over(theta, den)
+    ])
+    return QFuzzySubset(theta.group, theta.q_labels, columns, den, theta, alpha)
 
 
 def _require_shared_carrier(a, b) -> None:
-    if a.group != b.group or a.q_labels != b.q_labels:
+    # identity first: the dataclass compare runs only for distinct groups
+    if (a.group is not b.group and a.group != b.group) or a.q_labels != b.q_labels:
         raise CarrierError("operands live on different carriers")
 
 
@@ -189,18 +183,28 @@ def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
     _require_shared_carrier(a, b)
     if kind not in ("subset", "equal"):
         raise ValueError(f"unknown compare kind {kind!r}")
-    pairs = _pairwise(a, b, lambda ca, cb: (ca, cb))[0]
-    for x in range(a.group.order):
-        for q, (ca, cb) in zip(a.q_labels, pairs):
-            ok = ca[x] <= cb[x] if kind == "subset" else ca[x] == cb[x]
-            if not ok:
-                return False, (a.group.label(x), q)
-    return True, None
+    den = math.lcm(a.den, b.den)
+    columns_a, columns_b = _over(a, den), _over(b, den)
+    # one C-level test per label decides; only a label that fails is walked,
+    # to name the first failing element
+    if kind == "equal":
+        failing = [k for k, ca in enumerate(columns_a) if ca != columns_b[k]]
+    else:
+        failing = [k for k, ca in enumerate(columns_a) if not all(map(le, ca, columns_b[k]))]
+    if not failing:
+        return True, None
+    holds = eq if kind == "equal" else le
+    x, k = next(
+        (x, k) for x in range(a.group.order) for k in failing
+        if not holds(columns_a[k][x], columns_b[k][x])
+    )
+    return False, (a.group.label(x), a.q_labels[k])
 
 
 def complement(theta: QFuzzySubset) -> QFuzzySubset:
-    columns = tuple([tuple([den - g for g in c]) for c, den in zip(theta.columns, theta.dens)])
-    return QFuzzySubset(theta.group, theta.q_labels, columns, theta.dens)
+    den = theta.den
+    columns = tuple([tuple([den - g for g in c]) for c in theta.columns])
+    return QFuzzySubset(theta.group, theta.q_labels, columns, den)
 
 
 def product(phi: QFuzzySubset, psi: QFuzzySubset) -> QFuzzySubset:
@@ -228,7 +232,7 @@ def product(phi: QFuzzySubset, psi: QFuzzySubset) -> QFuzzySubset:
     out = alpha_restrict(base, phi.alpha)
     # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
     direct = QFuzzySubset(prod_group, phi.q_labels, *_pairwise(phi, psi, pairwise_min))
-    if not out.same_grades(direct):
+    if not compare("equal", out, direct)[0]:
         raise InvariantError(
             "product: restricting the base differs from the direct product"
         )
@@ -249,7 +253,7 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
         tuple([max([column[x] for x in bucket]) if bucket else 0 for bucket in fibers])
         for column in theta.columns
     ])
-    return QFuzzySubset(f.target, theta.q_labels, columns, theta.dens)
+    return QFuzzySubset(f.target, theta.q_labels, columns, theta.den)
 
 
 def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
@@ -257,7 +261,7 @@ def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
         raise CarrierError("subset does not live on the map's target group")
     images = f.images
     columns = tuple([tuple([column[y] for y in images]) for column in sigma.columns])
-    return QFuzzySubset(f.source, sigma.q_labels, columns, sigma.dens)
+    return QFuzzySubset(f.source, sigma.q_labels, columns, sigma.den)
 
 
 def _at_or_above(column, cut: int) -> frozenset[int]:
@@ -273,12 +277,12 @@ def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     n, d = validate_grade(c).as_integer_ratio()
     k = phi.q_index(q_label)
     # g / den >= n / d iff g >= ceil(n * den / d), g being an integer
-    return _at_or_above(phi.columns[k], -(-n * phi.dens[k] // d))
+    return _at_or_above(phi.columns[k], -(-n * phi.den // d))
 
 
 def level_sets(phi: QFuzzySubset, k: int) -> list[tuple[int, frozenset[int]]]:
     """(cut, level set) of the k-th column at each of its grades, plus 0,
-    ascending; a cut is an integer over `phi.dens[k]`, as the column is."""
+    ascending; a cut is an integer over `phi.den`, as the column is."""
     column = phi.columns[k]
     return [(cut, _at_or_above(column, cut)) for cut in _achieved(column)]
 

@@ -4,7 +4,7 @@ Grades live in [0, 1] and are exact rationals; nothing in this package ever
 touches floating point.  Decimal literals such as "0.4" parse to the exact
 rational 2/5.  At the edges (parsing, formatting, the codec and witnesses) a
 grade is a `fractions.Fraction`; inside, it is an integer over a denominator
-shared by its column.
+shared by its table.
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ def validate_grade(value: Fraction) -> Fraction:
 # --- grades as integers ------------------------------------------------------
 #
 # Comparing two `Fraction`s costs a type dispatch and two multiplications in
-# Python code.  Grade tables instead hold each q label's grades as integers
-# over one denominator, scaled once when the table is built from `Fraction`s
+# Python code.  Grade tables instead hold their grades as integers over one
+# denominator, scaled once when the table is built from `Fraction`s
 # (`scale_grades`); equal grades get equal integers, and the integers order
 # as the grades do.  A grade pool is scaled once the same way (`GradePool`).
 
@@ -75,6 +75,8 @@ class GradePool(tuple):
 
 def parse_grade(text: str) -> Fraction:
     """Parse a decimal ("0.4") or rational ("2/5") grade literal exactly."""
+    if "_" in text or not text.isascii():  # `Fraction` parses these on some Pythons only
+        raise GradeError(f"bad grade literal {text!r}: '_' and non-ASCII characters are refused")
     try:
         value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

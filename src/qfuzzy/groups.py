@@ -312,19 +312,9 @@ def _quaternion8() -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; pair ordering is row-major in (g, h)."""
     _check_order(g.order * h.order, f"{g.name}x{h.name}")
-    elements = []
-    for a in g.elements:
-        for b in h.elements:
-            elements.append(f"({a},{b})")
+    elements = [f"({a},{b})" for a in g.elements for b in h.elements]
     nh = h.order
-    table = []
-    for i in range(g.order):
-        for j in range(h.order):
-            row = []
-            for k in range(g.order):
-                for l in range(h.order):
-                    row.append(g.table[i][k] * nh + h.table[j][l])
-            table.append(row)
+    table = [[a * nh + b for a in gr for b in hr] for gr in g.table for hr in h.table]
     return build_group(f"{g.name}x{h.name}", elements, table)
 
 
@@ -333,6 +323,8 @@ def standard_group(spec: str) -> FiniteGroup:
     """Build a catalog group by name; 'AxB' builds a direct product."""
     text = spec.strip().lower().replace(" ", "")
     if "x" in text:
+        if "" in text.split("x"):  # a product with an empty side
+            raise GroupError(f"unknown group spec {spec!r}")
         left, _, right = text.partition("x")
         return direct_product(standard_group(left), standard_group(right))
     if text == "trivial":

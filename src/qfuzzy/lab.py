@@ -34,7 +34,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import ge
 
 from .grades import (
     GradePool,
@@ -56,6 +55,7 @@ from .groups import (
 from .fuzzy import (
     QFuzzySubset,
     alpha_restrict,
+    compare,
     complement,
     image_subset,
     intersection,
@@ -175,7 +175,7 @@ def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
     # `choice` draws an index into the pool, so drawing from its integers
     # uses the generator as drawing from its grades would
     rows = [[rng.choice(pool.scaled) for _ in q_labels] for _ in range(group.order)]
-    return QFuzzySubset(group, q_labels, tuple(zip(*rows)), (pool.den,) * len(q_labels))
+    return QFuzzySubset(group, q_labels, tuple(zip(*rows)), pool.den)
 
 
 @lru_cache(maxsize=None)
@@ -225,7 +225,7 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
             for x in layer:
                 column[x] = grade
         columns.append(tuple(column))
-    theta = QFuzzySubset(group, q_labels, tuple(columns), (pool.den,) * len(q_labels))
+    theta = QFuzzySubset(group, q_labels, tuple(columns), pool.den)
     verified = _verified_columns(group)
     if not verified.issuperset(columns):
         report = check_qfuzzy_subgroup(theta)
@@ -307,7 +307,7 @@ def _outcome(report):
 def _check_p3_3(theta, sigma, alpha):
     lhs = alpha_restrict(intersection(theta, sigma), alpha)
     rhs = intersection(alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha))
-    if lhs.same_grades(rhs):
+    if compare("equal", lhs, rhs)[0]:
         return True, None
     return False, "restriction of intersection differs from intersection of restrictions"
 
@@ -321,9 +321,9 @@ def _preimage_alpha(f, psi):
 
 
 def _check_p3_4(f, phi, psi):
-    if not _image_alpha(f, phi).same_grades(image_subset(f, phi)):
+    if not compare("equal", _image_alpha(f, phi), image_subset(f, phi))[0]:
         return False, "image does not commute with restriction"
-    if not _preimage_alpha(f, psi).same_grades(preimage_subset(f, psi)):
+    if not compare("equal", _preimage_alpha(f, psi), preimage_subset(f, psi))[0]:
         return False, "preimage does not commute with restriction"
     return True, None
 
@@ -345,8 +345,8 @@ def _check_p4_6(phi):
 def _check_p4_7(phi):
     group = phi.group
     table, inverses = group.table, group.inverses
-    n = group.order
-    for q, column, den in zip(phi.q_labels, phi.columns, phi.dens):
+    n, den = group.order, phi.den
+    for q, column in zip(phi.q_labels, phi.columns):
         top = column[group.identity]
         for x in range(n):
             row, gx = table[x], column[x]
@@ -378,13 +378,12 @@ def _check_p4_12(phi):
 
 
 def _dominates_identity(phi, psi):
-    # phi's identity grade bounds every grade of psi, per q label
+    # phi's identity grade bounds every grade of psi: max(column) / psi.den <= top[e] / phi.den
     e = phi.group.identity
-    for top, den, column, d in zip(phi.columns, phi.dens, psi.columns, psi.dens):
-        # max(column) / d <= top[e] / den
-        if max(column) * den > top[e] * d:
-            return False
-    return True
+    return all(
+        max(column) * phi.den <= top[e] * psi.den
+        for top, column in zip(phi.columns, psi.columns)
+    )
 
 
 def _positive_at_identity(phi):
@@ -448,49 +447,23 @@ def _check_p5_8(f, psi):
 # P5.10 and P5.11: the level-set inclusion decides, and the cyclicity of the
 # image (preimage) is the finding.  "Each pushed level set lies in the image's
 # level set at every achieved cut" is the statement sigma(f(x)) >= phi(x) at
-# every x and q label: take the cut phi(x) itself (the level-subgroup reading
-# of Das 1981).  Pulled level sets likewise give theta(x) >= psi(f(x)).  Both
-# hold by construction: sigma(f(x)) = min(max over the fiber of f(x), alpha)
-# >= phi(x), and theta(x) = psi(f(x)).
-
-
-def _at_least(a, da, b, db) -> bool:
-    # a[i] / da >= b[i] / db at every i
-    if da == db:
-        return all(map(ge, a, b))
-    return all([x * db >= y * da for x, y in zip(a, b)])
-
-
-def _pushed_within(f, phi, sigma) -> bool:
-    """sigma(f(x)) >= phi(x) at every x and q label: f carries every level
-    set of phi into sigma's level set at the same cut."""
-    images = f.images
-    return all(
-        _at_least([s[y] for y in images], ds, p, dp)
-        for s, ds, p, dp in zip(sigma.columns, sigma.dens, phi.columns, phi.dens)
-    )
-
-
-def _pulled_within(f, psi, theta) -> bool:
-    """theta(x) >= psi(f(x)) at every x and q label: f pulls every level set
-    of psi back into theta's level set at the same cut."""
-    images = f.images
-    return all(
-        _at_least(t, dt, [p[y] for y in images], dp)
-        for t, dt, p, dp in zip(theta.columns, theta.dens, psi.columns, psi.dens)
-    )
+# every x and q label, that is phi <= f^-1(sigma): take the cut phi(x) itself
+# (the level-subgroup reading of Das 1981).  Pulled level sets likewise give
+# theta(x) >= psi(f(x)), that is f^-1(psi) <= theta.  Both hold by
+# construction: sigma(f(x)) = min(max over the fiber of f(x), alpha) >= phi(x),
+# and theta(x) = psi(f(x)).
 
 
 def _check_p5_10(f, phi):
     sigma = _image_alpha(f, phi)
-    inclusion = _pushed_within(f, phi, sigma)
+    inclusion = compare("subset", phi, preimage_subset(f, sigma))[0]
     detail = None if inclusion else "pushed level set escapes the image level set"
     return inclusion, detail, (_all_cyclic(sigma), None)
 
 
 def _check_p5_11(f, psi):
     theta = _preimage_alpha(f, psi)
-    inclusion = _pulled_within(f, psi, theta)
+    inclusion = compare("subset", preimage_subset(f, psi), theta)[0]
     detail = None if inclusion else "pulled level set escapes the preimage level set"
     return inclusion, detail, (_all_cyclic(theta), None)
 
@@ -504,7 +477,7 @@ def _check_p5_11(f, psi):
 
 
 def _pool_table(group, column, pool: GradePool) -> QFuzzySubset:
-    return QFuzzySubset(group, ("q",), (column,), (pool.den,))
+    return QFuzzySubset(group, ("q",), (column,), pool.den)
 
 
 def _tables(group, pool: GradePool):

@@ -234,7 +234,7 @@ def restriction_of(theta: QFuzzySubset, alpha: Fraction, rows) -> QFuzzySubset:
     """The restriction of theta at alpha whose `Fraction` table is `rows`."""
     table = QFuzzySubset.from_grades(theta.group, theta.q_labels, rows)
     return QFuzzySubset(
-        theta.group, theta.q_labels, table.columns, table.dens, theta, alpha, table.grades
+        theta.group, theta.q_labels, table.columns, table.den, theta, alpha, table.grades
     )
 
 

@@ -41,8 +41,10 @@ def test_group_show_catalog():
 
 
 def test_group_show_unknown_spec_is_usage_error():
-    result = run_cli("group", "show", "monster")
-    assert result.returncode == 64
+    for spec in ("monster", "cyclic2x", "xcyclic2"):
+        result = run_cli("group", "show", spec)
+        assert result.returncode == 64
+        assert f"unknown group spec {spec!r}" in result.stderr
 
 
 def test_group_show_name_too_long_for_a_path_is_usage_error():
@@ -133,10 +135,11 @@ def test_fuzzy_check_unreadable_or_unnamable_group_file_exits_65(tmp_path, monke
 
 def test_fuzzy_check_bad_grade_exits_65(tmp_path):
     path = tmp_path / "bad.fuzzy"
-    path.write_text("group: cyclic2\nq_labels: q\ngrades:\n0 q 1.5\n1 q 0\n")
-    result = run_cli("fuzzy", "check", str(path))
-    assert result.returncode == 65
-    assert "line 4" in result.stderr
+    for literal in ("1.5", "1_0/2_0"):
+        path.write_text(f"group: cyclic2\nq_labels: q\ngrades:\n0 q {literal}\n1 q 0\n")
+        result = run_cli("fuzzy", "check", str(path))
+        assert result.returncode == 65
+        assert "line 4" in result.stderr
 
 
 def test_fuzzy_check_repeated_q_label_exits_65(tmp_path):
@@ -221,11 +224,12 @@ def test_audit_requires_target_selection():
 
 
 def test_audit_bad_pool_literal_is_usage_error():
-    result = run_cli(
-        "audit", "--props", "P4.2", "--trials", "2", "--catalog", "cyclic2",
-        "--pool", "0", "1.5",
-    )
-    assert result.returncode == 64
+    for literal in ("1.5", "0.5_0"):
+        result = run_cli(
+            "audit", "--props", "P4.2", "--trials", "2", "--catalog", "cyclic2",
+            "--pool", "0", literal,
+        )
+        assert result.returncode == 64
 
 
 def test_audit_unwritable_out_path_is_usage_error(tmp_path):

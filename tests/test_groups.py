@@ -198,8 +198,10 @@ def test_symmetric3_non_abelian():
 
 
 def test_unknown_spec_rejected():
-    with pytest.raises(GroupError):
-        standard_group("monster")
+    # a product with an empty side is named as given, not as ''
+    for spec in ("monster", "cyclic2x", "x", "xcyclic2", "cyclic2xcyclic3x"):
+        with pytest.raises(GroupError, match=f"^unknown group spec {spec!r}$"):
+            standard_group(spec)
 
 
 def test_direct_product_with_trivial_is_relabelled_copy():

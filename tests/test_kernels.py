@@ -1,5 +1,6 @@
 """The integer kernels against the `Fraction` reference in `fraction_oracle`."""
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -286,7 +287,7 @@ def test_level_sets_match_fraction_oracle(theta, alpha):
     for k, q in enumerate(phi.q_labels):
         cuts = oracle.achieved_grades(phi, q)
         got = level_sets(phi, k)
-        assert [Fraction(cut, phi.dens[k]) for cut, _ in got] == list(cuts)
+        assert [Fraction(cut, phi.den) for cut, _ in got] == list(cuts)
         assert [members for _, members in got] == [oracle.level_set(phi, c, q) for c in cuts]
 
 
@@ -334,6 +335,33 @@ def test_combine_and_compare_match_fraction_oracle(data):
         assert compare(kind, theta, theta) == oracle.compare(kind, theta, theta)
 
 
+@given(tables(), st.data())
+def test_compare_matches_fraction_oracle_on_a_single_difference(theta, data):
+    # sigma is theta with one grade changed, often at the last element or the
+    # last label, over its own denominator times 1, 3 or 7: the two tables'
+    # denominators differ, and the one failing pair can be the last one scanned
+    group, labels = theta.group, theta.q_labels
+    x = data.draw(st.sampled_from((group.order - 1, data.draw(st.integers(0, group.order - 1)))))
+    k = data.draw(st.sampled_from((len(labels) - 1, data.draw(st.integers(0, len(labels) - 1)))))
+    rows = [list(row) for row in theta.grades]
+    rows[x][k] = data.draw(grades.filter(lambda g: g != rows[x][k]))
+    changed = make_qfuzzy(group, labels, rows)
+    m = data.draw(st.sampled_from((1, 3, 7)))
+    columns = tuple(tuple(g * m for g in column) for column in changed.columns)
+    sigma = QFuzzySubset(group, labels, columns, changed.den * m)
+    for a, b in ((theta, sigma), (sigma, theta), (sigma, changed)):
+        for kind in ("subset", "equal"):
+            assert compare(kind, a, b) == oracle.compare(kind, a, b)
+    assert compare("equal", theta, sigma) == (False, (group.label(x), labels[k]))
+    assert compare("equal", sigma, changed) == (True, None)
+
+
+@given(tables())
+def test_from_grades_puts_a_table_over_the_lcm_of_its_grades(theta):
+    # one denominator for every label, not one per label
+    assert theta.den == math.lcm(*[g.denominator for row in theta.grades for g in row])
+
+
 @given(st.data(), grades)
 def test_claim_checks_on_pairs_match_fraction_oracle(data, alpha):
     theta = data.draw(tables())
@@ -373,8 +401,10 @@ def test_pointwise_inclusions_match_level_set_inclusions(case, a, b):
     # denominators can differ
     f, theta, sigma = case
     phi, psi = alpha_restrict(theta, a), alpha_restrict(sigma, b)
-    assert lab._pushed_within(f, phi, psi) == oracle.pushed_within(f, phi, psi)
-    assert lab._pulled_within(f, psi, phi) == oracle.pulled_within(f, psi, phi)
+    pushed = compare("subset", phi, preimage_subset(f, psi))[0]
+    assert pushed == oracle.pushed_within(f, phi, psi)
+    pulled = compare("subset", preimage_subset(f, psi), phi)[0]
+    assert pulled == oracle.pulled_within(f, psi, phi)
 
 
 @given(mapped(max_labels=3), grades)
@@ -574,7 +604,7 @@ def assert_same_table(got, expected):
     view = got.grades
     assert view == expected.grades
     assert all(type(g) is F for row in view for g in row)
-    columns = [tuple(F(g, den) for g in col) for col, den in zip(got.columns, got.dens)]
+    columns = [tuple(F(g, got.den) for g in col) for col in got.columns]
     assert columns == list(zip(*view))
 
 
@@ -613,9 +643,9 @@ def test_restriction_off_the_pool_denominator_matches_fraction_oracle(alpha):
             rng = random.Random(seed)
             for make in (random_qfuzzy_subgroup, random_qfuzzy):
                 theta = make(group, ("q1", "q2"), rng, DEFAULT_POOL)
-                assert theta.dens == (100, 100)
+                assert theta.den == 100
                 phi = alpha_restrict(theta, alpha)
-                assert phi.dens == (100 * alpha.denominator,) * 2
+                assert phi.den == 100 * alpha.denominator
                 assert_same_table(phi, oracle.alpha_restrict(theta, alpha))
                 assert check_alpha_subgroup(phi) == oracle.check_alpha_subgroup(phi)
                 assert check_anti_subgroup(phi) == oracle.check_anti_subgroup(phi)
@@ -630,12 +660,12 @@ def test_restriction_off_the_pool_denominator_matches_fraction_oracle(alpha):
 
 def test_tables_are_equal_by_value_whatever_the_denominators():
     group = standard_group("cyclic2")
-    half = QFuzzySubset(group, ("q",), ((1, 2),), (2,))
+    half = QFuzzySubset(group, ("q",), ((1, 2),), 2)
     assert half.grades == ((F(1, 2),), (F(1),))
-    assert half == QFuzzySubset(group, ("q",), ((3, 6),), (6,))
-    assert half.same_grades(QFuzzySubset(group, ("q",), ((3, 6),), (6,)))
-    assert half != QFuzzySubset(group, ("q",), ((1, 2),), (4,))  # same integers
-    assert half != QFuzzySubset(group, ("p",), ((1, 2),), (2,))
+    assert half == QFuzzySubset(group, ("q",), ((3, 6),), 6)
+    assert compare("equal", half, QFuzzySubset(group, ("q",), ((3, 6),), 6))[0]
+    assert half != QFuzzySubset(group, ("q",), ((1, 2),), 4)  # same integers
+    assert half != QFuzzySubset(group, ("p",), ((1, 2),), 2)
 
 
 def scaled_up(fn, factors):
@@ -646,7 +676,7 @@ def scaled_up(fn, factors):
     def wrapped(*args):
         out, m = fn(*args), next(factors)
         columns = tuple(tuple(g * m for g in col) for col in out.columns)
-        return QFuzzySubset(out.group, out.q_labels, columns, tuple(d * m for d in out.dens))
+        return QFuzzySubset(out.group, out.q_labels, columns, out.den * m)
 
     return wrapped
 

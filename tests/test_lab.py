@@ -507,8 +507,10 @@ def test_single_kind_claims_judge_every_enumerated_map():
 
 def zeroed_on(monkeypatch, operation, group_name):
     # the level-set inclusion always holds, so replay is shown failing it by
-    # zeroing every grade of the lab's image or preimage on one group: the
-    # pushed or pulled grades then escape it
+    # zeroing every grade of the lab's image or restricted preimage on one
+    # group: the pushed or pulled grades then escape it.  P5.11 pulls psi back
+    # through `preimage_subset` itself, so its test zeroes only the claim's
+    # preimage, `_preimage_alpha`
     real = getattr(lab, operation)
 
     def zeroed(f, subset):
@@ -516,7 +518,7 @@ def zeroed_on(monkeypatch, operation, group_name):
         if out.group.name != group_name:
             return out
         zeros = tuple((0,) * len(column) for column in out.columns)
-        return QFuzzySubset(out.group, out.q_labels, zeros, out.dens)
+        return QFuzzySubset(out.group, out.q_labels, zeros, out.den)
 
     monkeypatch.setattr(lab, operation, zeroed)
 
@@ -533,7 +535,7 @@ def test_replay_p5_10_needs_cyclic_level_sets(monkeypatch):
 
 
 def test_replay_p5_11_needs_cyclic_level_sets(monkeypatch):
-    zeroed_on(monkeypatch, "preimage_subset", "cyclic2")
+    zeroed_on(monkeypatch, "_preimage_alpha", "cyclic2")
     cyclic = restricted("cyclic4", [F(1, 2)] * 4)
     assert replay_failure(record("P5.11", first_map("cyclic2", "cyclic4"), psi=cyclic))
     klein = restricted("klein4", [F(1, 2)] * 4)
