@@ -7,7 +7,7 @@ Exit-status contract:
       worked-example reproduction, or a search without a witness that
       re-validates
   64  usage errors (unknown commands, flags, claim ids, group specs)
-  65  input files that are missing or fail to parse
+  65  input files that are missing, unreadable, not UTF-8 or fail to parse
   141 stdout's reader closed the pipe early (128 + SIGPIPE, as shells report)
 """
 from __future__ import annotations
@@ -153,9 +153,11 @@ def _render(reports, fmt: str) -> str:
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise FileFormatError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"cannot read {path}: not UTF-8 at byte {exc.start}")
 
 
 def _cmd_group_show(args) -> int:

@@ -141,13 +141,17 @@ def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:
     """min(grade, alpha) everywhere, as a table holding theta and alpha."""
     alpha = validate_grade(alpha)
     a, b = alpha.as_integer_ratio()
-    den = math.lcm(theta.den, b)  # alpha and every grade over one denominator
+    den, columns = theta.den, theta.columns
+    if den % b:  # alpha and every grade over one denominator
+        den = math.lcm(den, b)
+        columns = _over(theta, den)
     cap = a * (den // b)
-    columns = tuple([
-        tuple([g if g <= cap else cap for g in column]) if max(column) > cap else column
-        for column in _over(theta, den)
-    ])
-    return QFuzzySubset(theta.group, theta.q_labels, columns, den, theta, alpha)
+    capped = []
+    for column in columns:
+        if max(column) > cap:  # a column already under the cap is kept
+            column = tuple([g if g <= cap else cap for g in column])
+        capped.append(column)
+    return QFuzzySubset(theta.group, theta.q_labels, tuple(capped), den, theta, alpha)
 
 
 def _require_shared_carrier(a, b) -> None:
@@ -183,6 +187,8 @@ def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
     _require_shared_carrier(a, b)
     if kind not in ("subset", "equal"):
         raise ValueError(f"unknown compare kind {kind!r}")
+    if kind == "equal" and a.den == b.den and a.columns == b.columns:
+        return True, None
     den = math.lcm(a.den, b.den)
     columns_a, columns_b = _over(a, den), _over(b, den)
     # one C-level test per label decides; only a label that fails is walked,
@@ -248,20 +254,22 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
     # identity first: the dataclass compare runs only for distinct groups
     if theta.group is not f.source and theta.group != f.source:
         raise CarrierError("subset does not live on the map's source group")
-    fibers = f.fibers
-    columns = tuple([
-        tuple([max([column[x] for x in bucket]) if bucket else 0 for bucket in fibers])
-        for column in theta.columns
-    ])
+    take = f.push
+    if take is not None:  # injective: one gather, the appended 0 for an empty fiber
+        columns = tuple([take(column + (0,)) for column in theta.columns])
+    else:
+        fibers = f.fibers
+        columns = tuple([
+            tuple([max(map(column.__getitem__, bucket)) if bucket else 0 for bucket in fibers])
+            for column in theta.columns
+        ])
     return QFuzzySubset(f.target, theta.q_labels, columns, theta.den)
 
 
 def preimage_subset(f: GroupMap, sigma: QFuzzySubset) -> QFuzzySubset:
     if sigma.group is not f.target and sigma.group != f.target:
         raise CarrierError("subset does not live on the map's target group")
-    images = f.images
-    columns = tuple([tuple([column[y] for y in images]) for column in sigma.columns])
-    return QFuzzySubset(f.source, sigma.q_labels, columns, sigma.den)
+    return QFuzzySubset(f.source, sigma.q_labels, tuple(map(f.pull, sigma.columns)), sigma.den)
 
 
 def _at_or_above(column, cut: int) -> frozenset[int]:

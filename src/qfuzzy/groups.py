@@ -93,9 +93,8 @@ class FiniteGroup:
 
     @cached_property
     def at_inverses(self):
-        """column -> (column[x^-1] for each element x), in one C-level call;
-        at order 1, the single entry itself."""
-        return itemgetter(*self.inverses)
+        """column -> (column[x^-1] for each element x), in one C-level call."""
+        return gather(self.inverses)
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
@@ -123,6 +122,15 @@ class FiniteGroup:
         # computed once per group, for the lru_caches keyed by groups; equal
         # groups have equal names and orders, so they hash equal
         return self._hash
+
+
+def gather(indices):
+    """seq -> tuple(seq[i] for i in indices), in one C-level call.  Of one
+    index, `itemgetter` gives the entry itself, so that case is a 1-tuple."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return itemgetter(*indices)
 
 
 def _products(rows, identity: int, generators) -> set[int]:
@@ -365,6 +373,25 @@ class GroupMap:
         for x, y in enumerate(self.images):
             buckets[y].append(x)
         return tuple(map(tuple, buckets))
+
+    # Index plans, built once per map: a column on one group becomes the
+    # column of its preimage or image in one gather.
+
+    @cached_property
+    def pull(self):
+        """column on the target -> its preimage's column, read at `images`."""
+        return gather(self.images)
+
+    @cached_property
+    def push(self):
+        """For an injective map, column on the source, with one 0 appended ->
+        its image's column: the fibers flattened in target order, that 0
+        standing in for each empty fiber.  None for any other map, whose
+        image takes a max over each fiber."""
+        if not self.is_injective:
+            return None
+        zero = self.source.order  # the appended entry
+        return gather([bucket[0] if bucket else zero for bucket in self.fibers])
 
     @cached_property
     def is_injective(self) -> bool:

@@ -49,6 +49,7 @@ from .groups import (
     all_subgroups,
     analyze_subset,
     enumerate_maps,
+    gather,
     make_map,
     standard_group,
 )
@@ -169,31 +170,60 @@ def _trial_rng(config: AuditConfig, prop_id: str, carrier: str, trial: int):
     return random.Random(f"{config.seed}|{prop_id}|{carrier}|{trial}")
 
 
+def _indices(rng, n: int, count: int = 1) -> list[int]:
+    """`count` indices in range(n), each drawn as `Random._randbelow` draws
+    it: k = n.bit_length() bits, drawn again while they read n or more.  So
+    each is the index `rng.choice` takes from a sequence of length n, and the
+    value of `rng.randint(0, n - 1)`, with the same generator state after."""
+    getrandbits, k = rng.getrandbits, n.bit_length()
+    drawn = []
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        drawn.append(r)
+    return drawn
+
+
 def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
     """Each grade drawn independently and uniformly from the pool."""
     pool = GradePool(pool)  # AuditConfig's pool is validated and scaled already
-    # `choice` draws an index into the pool, so drawing from its integers
-    # uses the generator as drawing from its grades would
-    rows = [[rng.choice(pool.scaled) for _ in q_labels] for _ in range(group.order)]
-    return QFuzzySubset(group, q_labels, tuple(zip(*rows)), pool.den)
+    # an index into the pool draws an integer as `choice` would its grade;
+    # the draws fill the table row by row
+    width = len(q_labels)
+    grades = [pool.scaled[i] for i in _indices(rng, len(pool), group.order * width)]
+    columns = tuple([tuple(grades[k::width]) for k in range(width)])
+    return QFuzzySubset(group, q_labels, columns, pool.den)
 
 
 @lru_cache(maxsize=None)
 def _proper_subgroups(group) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-    # per subgroup, its proper subgroups in `all_subgroups` order
+    # per subgroup, its proper subgroups in `all_subgroups` order; the whole
+    # group, which sorts last, comes first
     subs = all_subgroups(group)
-    return {h: tuple(s for s in subs if s < h) for h in subs}
+    return {h: tuple(s for s in subs if s < h) for h in reversed(subs)}
 
 
-def _random_chain(group, rng, max_depth=3):
+def _random_chain(group, rng, max_depth=3) -> tuple[frozenset[int], ...]:
     below = _proper_subgroups(group)
-    chain = [frozenset(range(group.order))]
-    for _ in range(rng.randint(0, max_depth)):
+    chain = [next(iter(below))]
+    for _ in range(_indices(rng, max_depth + 1)[0]):
         nested = below[chain[-1]]
         if not nested:
             break
-        chain.append(rng.choice(nested))
-    return chain
+        chain.append(nested[_indices(rng, len(nested))[0]])
+    return tuple(chain)
+
+
+@lru_cache(maxsize=None)
+def _layer_plan(chain):
+    # ascending grades of the chain's layers -> the column: each element
+    # reads the grade of the deepest layer that holds it
+    depth = [0] * len(chain[0])
+    for i, layer in enumerate(chain):
+        for x in layer:
+            depth[x] = i
+    return gather(depth)
 
 
 @lru_cache(maxsize=None)
@@ -218,13 +248,8 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     columns = []
     for _ in q_labels:
         chain = _random_chain(group, rng)
-        grades = sorted([rng.choice(pool.scaled) for _ in chain])
-        column = [0] * group.order
-        # the chain descends strictly, so each element's deepest layer writes last
-        for layer, grade in zip(chain, grades):
-            for x in layer:
-                column[x] = grade
-        columns.append(tuple(column))
+        grades = sorted([pool.scaled[i] for i in _indices(rng, len(pool), len(chain))])
+        columns.append(_layer_plan(chain)(grades))
     theta = QFuzzySubset(group, q_labels, tuple(columns), pool.den)
     verified = _verified_columns(group)
     if not verified.issuperset(columns):
@@ -575,7 +600,7 @@ class Claim:
             for name in self.inputs
             if name != "alpha"
         ]
-        alpha = rng.choice(pool)
+        alpha = pool[_indices(rng, len(pool))[0]]
         if "alpha" in self.inputs:
             return (*subsets, alpha)
         return tuple([alpha_restrict(subset, alpha) for subset in subsets])
@@ -850,7 +875,7 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
             carrier, names = "->".join(item), item
         left, right = standard_group(names[0]), standard_group(names[1])
         maps = _enumerated_maps(left, right, claim.map_kinds, config.max_source)
-        evaluated = _first_per_image(maps)
+        evaluated = _evaluated_maps(left, right, claim.map_kinds, config.max_source)
         tally = _Tally()
         for t in range(config.trials):
             rng = _trial_rng(config, prop_id, carrier, t)
@@ -891,6 +916,11 @@ def _enumerated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
     for kind in kinds:
         maps.extend(enumerate_maps(left, right, kind, max_source))
     return tuple(maps)
+
+
+@lru_cache(maxsize=None)
+def _evaluated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
+    return _first_per_image(_enumerated_maps(left, right, kinds, max_source))
 
 
 def _first_per_image(maps) -> tuple[GroupMap, ...]:

@@ -133,6 +133,28 @@ def test_fuzzy_check_unreadable_or_unnamable_group_file_exits_65(tmp_path, monke
     assert cli.main(["fuzzy", "check", str(long_name)]) == 65
 
 
+def test_input_files_not_in_utf8_exit_65(tmp_path):
+    # 0xff never occurs in UTF-8: a fuzzy file with it as a grade, a fuzzy
+    # file whose group file has it, and that group file shown on its own
+    bad_fuzzy = tmp_path / "bad.fuzzy"
+    bad_fuzzy.write_bytes(b"group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n1 q \xff\n")
+    table = run_cli("group", "show", "cyclic2").stdout.encode()
+    bad_group = tmp_path / "bad.group"
+    bad_group.write_bytes(table.replace(b"name: cyclic2", b"name: \xff"))
+    beside = tmp_path / "beside.fuzzy"
+    beside.write_text("group: bad.group\nq_labels: q\ngrades:\n0 q 1\n1 q 0\n")
+    for args, path, unreadable in (
+        (("fuzzy", "check"), bad_fuzzy, bad_fuzzy),
+        (("fuzzy", "check"), beside, bad_group),
+        (("group", "show"), bad_group, bad_group),
+    ):
+        at = unreadable.read_bytes().index(b"\xff")
+        result = run_cli(*args, str(path))
+        assert result.returncode == 65
+        # one line, no traceback
+        assert result.stderr == f"input error: cannot read {unreadable}: not UTF-8 at byte {at}\n"
+
+
 def test_fuzzy_check_bad_grade_exits_65(tmp_path):
     path = tmp_path / "bad.fuzzy"
     for literal in ("1.5", "1_0/2_0"):

@@ -49,6 +49,7 @@ from qfuzzy.groups import (
 )
 from qfuzzy.lab import (
     DEFAULT_CATALOG,
+    DEFAULT_MAP_PAIRS,
     DEFAULT_POOL,
     DEFAULT_PRODUCT_PAIRS,
     AuditConfig,
@@ -251,6 +252,9 @@ MAP_PAIRS = (
     ("symmetric3", "cyclic2"),
     ("dihedral4", "klein4"),
     ("cyclic2xcyclic4", "cyclic4"),
+    ("dihedral4", "dihedral4"),
+    ("trivial", "cyclic2"),
+    ("cyclic2", "trivial"),
 )
 # cuts the pool does not contain, so level sets are also cut between grades
 CUTS = st.sampled_from(POOL + (F(1, 6), F(3, 10), F(2, 3)))
@@ -264,6 +268,27 @@ def mapped(draw, max_labels=2):
     f = draw(st.sampled_from(maps))
     q_labels = tuple(f"q{i}" for i in range(draw(st.integers(1, max_labels))))
     return f, draw(tables(f.source, q_labels)), draw(tables(f.target, q_labels))
+
+
+def test_map_plans_read_fibers_and_images():
+    # an image is the max over each fiber (0 on an empty one), read by push's
+    # one gather on an injective map; a preimage is the column read at the
+    # images.  The order-1 pairs take `gather`'s one-index case
+    rng = random.Random("plans")
+    order_one = (("trivial", "trivial"), ("trivial", "cyclic2"), ("cyclic2", "trivial"))
+    for pair in DEFAULT_MAP_PAIRS + order_one:
+        source, target = (standard_group(g) for g in pair)
+        for f in lab._enumerated_maps(source, target, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8):
+            assert (f.push is not None) == f.is_injective
+            for _ in range(5):
+                column = tuple(rng.randrange(50) for _ in range(source.order))
+                pushed = tuple(max([column[x] for x in bucket], default=0) for bucket in f.fibers)
+                if f.push is not None:
+                    assert f.push(column + (0,)) == pushed
+                theta = QFuzzySubset(source, ("q",), (column,), 50)
+                assert image_subset(f, theta).columns == (pushed,)
+                on_target = tuple(rng.randrange(50) for _ in range(target.order))
+                assert f.pull(on_target) == tuple(on_target[y] for y in f.images)
 
 
 @given(mapped())

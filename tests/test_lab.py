@@ -67,7 +67,7 @@ def test_generator_never_remembers_a_failing_column(monkeypatch):
     pool = AuditConfig().grade_pool
     # {0, 1} is not a subgroup of cyclic4, so a column graded higher on it fails
     monkeypatch.setattr(
-        lab, "_random_chain", lambda group, rng: [frozenset(range(4)), frozenset({0, 1})]
+        lab, "_random_chain", lambda group, rng: (frozenset(range(4)), frozenset({0, 1}))
     )
     for _ in range(2):  # the same draw again: it is checked again, and fails again
         with pytest.raises(lab.GeneratorSoundnessError, match="not a subgroup"):
@@ -75,13 +75,14 @@ def test_generator_never_remembers_a_failing_column(monkeypatch):
 
 
 class Scripted:
-    """An RNG whose `choice` takes the given indices in turn."""
+    """An RNG whose draws are the given indices in turn: the generators draw
+    an index with `getrandbits`, so each call returns the next one."""
 
     def __init__(self, *picks):
         self.picks = iter(picks)
 
-    def choice(self, seq):
-        return seq[next(self.picks)]
+    def getrandbits(self, k):
+        return next(self.picks)
 
 
 def test_generator_checks_each_distinct_column_once(monkeypatch):
@@ -98,13 +99,24 @@ def test_generator_checks_each_distinct_column_once(monkeypatch):
     again = random_qfuzzy_subgroup(group, Q, random.Random("memo"), pool)
     assert again == first and checked == [first]
     # one-layer chains: each label's column is the constant the RNG picks
-    monkeypatch.setattr(lab, "_random_chain", lambda group, rng: [frozenset(range(6))])
+    monkeypatch.setattr(lab, "_random_chain", lambda group, rng: (frozenset(range(6)),))
     labels = ("q1", "q2")
     new = random_qfuzzy_subgroup(group, Q, Scripted(2), pool)
     seen = random_qfuzzy_subgroup(group, labels, Scripted(2, 2), pool)
     one_new = random_qfuzzy_subgroup(group, labels, Scripted(2, 5), pool)
     random_qfuzzy_subgroup(group, labels, Scripted(5, 2), pool)
     assert checked == [first, new, one_new] and seen.columns == new.columns * 2
+
+
+@pytest.mark.parametrize("n", range(1, 21))  # at a power of two, half the draws are redrawn
+def test_index_draw_is_choice_and_randint(n):
+    seq = tuple(range(100, 100 + n))
+    for seed in range(200):
+        drawn, by_choice, by_randint = (random.Random(seed) for _ in range(3))
+        for i in lab._indices(drawn, n, 3):
+            assert seq[i] == by_choice.choice(seq)
+            assert i == by_randint.randint(0, n - 1)
+        assert drawn.getstate() == by_choice.getstate() == by_randint.getstate()
 
 
 def test_random_qfuzzy_draws_from_pool():
