@@ -190,8 +190,11 @@ def build_group(name: str, element_names, table) -> FiniteGroup:
     if len(set(elements)) != n:
         raise GroupError("element names must be distinct")
     for label in elements:
-        if not label or any(ch.isspace() for ch in label):
-            raise GroupError(f"element label {label!r} is empty or has whitespace")
+        # both file formats read a line that starts with '#' as a comment
+        if not label or label[0] == "#" or any(ch.isspace() for ch in label):
+            raise GroupError(
+                f"element label {label!r} is empty, starts with '#' or has whitespace"
+            )
     rows = tuple(tuple(row) for row in table)
     if len(rows) != n or any(len(row) != n for row in rows):
         raise GroupError(f"table must be {n}x{n}")
@@ -338,8 +341,13 @@ def standard_group(spec: str) -> FiniteGroup:
     if text == "trivial":
         return _cyclic(1)
     if text.startswith("cyclic"):
+        digits = text[len("cyclic"):]
         try:
-            n = int(text[len("cyclic"):])
+            # canonical ASCII decimal only: int() also reads a sign, "_",
+            # leading zeros and other scripts' digits (and refuses a long one)
+            if not (digits.isascii() and digits.isdigit()) or digits[0] == "0" != digits:
+                raise ValueError(digits)
+            n = int(digits)
         except ValueError:
             raise GroupError(f"bad cyclic group spec {spec!r}") from None
         _check_order(n, f"cyclic{n}")

@@ -216,23 +216,21 @@ def _random_chain(group, rng, max_depth=3) -> tuple[frozenset[int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _layer_plan(chain):
+def _layer_plan(group, chain):
     # ascending grades of the chain's layers -> the column: each element
-    # reads the grade of the deepest layer that holds it
+    # reads the grade of the deepest layer that holds it.  Each level set of
+    # such a column is {x : depth(x) >= i}, a level set of the depth table, so
+    # that table's one check covers them all; a failing chain is not cached
     depth = [0] * len(chain[0])
     for i, layer in enumerate(chain):
         for x in layer:
             depth[x] = i
+    report = check_qfuzzy_subgroup(QFuzzySubset(group, ("depth",), (tuple(depth),), len(chain)))
+    if not report.verdict:
+        raise GeneratorSoundnessError(
+            f"generated table on {group.name} is not a subgroup: {report.detail}"
+        )
     return gather(depth)
-
-
-@lru_cache(maxsize=None)
-def _verified_columns(group) -> set[tuple[int, ...]]:
-    # columns on the group whose tables passed the subgroup check.  Closure
-    # and inverse are each a condition per q label, and the integers of one
-    # column order as its grades do, whatever its denominator: a table whose
-    # columns have all passed is a subgroup
-    return set()
 
 
 def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
@@ -240,26 +238,17 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
 
     Per q label: pick a chain G = H0 > H1 > ... > Hk and a weakly increasing
     grade sequence; the grade of x is the grade of the deepest layer
-    containing x.  A table with a column not drawn before on the group is
-    re-checked, and generation aborts if the postcondition ever fails; its
-    columns are remembered only once the table passes.
+    containing x.  Each chain is checked once per group, as its table of
+    depths, when its layer plan is built, and generation aborts if that
+    check fails; every column read from a chain that passed is a subgroup.
     """
     pool = GradePool(pool)
     columns = []
     for _ in q_labels:
         chain = _random_chain(group, rng)
         grades = sorted([pool.scaled[i] for i in _indices(rng, len(pool), len(chain))])
-        columns.append(_layer_plan(chain)(grades))
-    theta = QFuzzySubset(group, q_labels, tuple(columns), pool.den)
-    verified = _verified_columns(group)
-    if not verified.issuperset(columns):
-        report = check_qfuzzy_subgroup(theta)
-        if not report.verdict:
-            raise GeneratorSoundnessError(
-                f"generated table on {group.name} is not a subgroup: {report.detail}"
-            )
-        verified.update(columns)
-    return theta
+        columns.append(_layer_plan(group, chain)(grades))
+    return QFuzzySubset(group, q_labels, tuple(columns), pool.den)
 
 
 # --- the payload codec --------------------------------------------------------

@@ -45,6 +45,23 @@ def test_group_show_unknown_spec_is_usage_error():
         result = run_cli("group", "show", spec)
         assert result.returncode == 64
         assert f"unknown group spec {spec!r}" in result.stderr
+    # int() would read each of these orders; the group is refused, not renamed
+    for spec in ("cyclic1_2", "cyclic\u0663", "cyclic+3", "cyclic03"):
+        result = run_cli("group", "show", spec)
+        assert result.returncode == 64 and result.stdout == ""
+        assert f"bad cyclic group spec {spec!r}" in result.stderr
+    result = run_cli("audit", "--props", "P4.6", "--catalog", "cyclic1_2", "--trials", "1")
+    assert result.returncode == 64 and "bad cyclic group spec" in result.stderr
+
+
+def test_group_file_with_a_comment_label_exits_65(tmp_path):
+    # the row "#a e" reads as a comment, so the label, not the table's shape,
+    # is what the error names
+    path = tmp_path / "hash.group"
+    path.write_text("name: z2\nelements: e #a\ntable:\ne #a\n#a e\n")
+    result = run_cli("group", "show", str(path))
+    assert result.returncode == 65 and "Traceback" not in result.stderr
+    assert "element label '#a' is empty, starts with '#' or has whitespace" in result.stderr
 
 
 def test_group_show_name_too_long_for_a_path_is_usage_error():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given
@@ -156,6 +157,12 @@ def test_build_group_rejects_bad_entries():
         build_group("bad", ["e", "a"], [[0, 1], [1, 7]])
     with pytest.raises(GroupError, match="distinct"):
         build_group("bad", ["e", "e"], [[0, 1], [1, 0]])
+    # labels no file can hold: both formats skip a line that starts with '#'
+    # as a comment, so a row led by such a label would vanish
+    for label in ("", "a b", "#a", "#"):
+        with pytest.raises(GroupError, match=f"^element label {label!r} is empty, starts with"):
+            build_group("bad", ["e", label], [[0, 1], [1, 0]])
+    assert build_group("z2", ["e", "a#"], [[0, 1], [1, 0]]).elements == ("e", "a#")
 
 
 @pytest.mark.parametrize(
@@ -202,6 +209,18 @@ def test_unknown_spec_rejected():
     for spec in ("monster", "cyclic2x", "x", "xcyclic2", "cyclic2xcyclic3x"):
         with pytest.raises(GroupError, match=f"^unknown group spec {spec!r}$"):
             standard_group(spec)
+
+
+def test_cyclic_order_is_read_in_canonical_decimal_only():
+    # int() reads each of these as an order (12, 3, 3, 3); none names a group
+    for spec in ("cyclic1_2", "cyclic\u0663", "cyclic+3", "cyclic03", "cyclic00", "cyclic-1"):
+        with pytest.raises(GroupError, match=f"^bad cyclic group spec {re.escape(repr(spec))}$"):
+            standard_group(spec)
+    with pytest.raises(GroupError, match="^bad cyclic group spec"):
+        standard_group("cyclic" + "9" * 5000)  # past int()'s digit limit
+    with pytest.raises(GroupError, match="order must be >= 1"):
+        standard_group("cyclic0")
+    assert standard_group("cyclic10").order == 10
 
 
 def test_direct_product_with_trivial_is_relabelled_copy():

@@ -1,13 +1,16 @@
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import fraction_oracle as oracle
 from qfuzzy import lab
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from qfuzzy.fuzzy import QFuzzySubset, alpha_restrict, make_qfuzzy
+from qfuzzy.grades import GradePool
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
@@ -16,6 +19,8 @@ from qfuzzy.groups import (
 )
 from qfuzzy.lab import (
     CLAIM_ORDER,
+    DEFAULT_CATALOG,
+    DEFAULT_POOL,
     EXPECTED_VERIFIED,
     RECORDED_CLAIMS,
     AuditConfig,
@@ -62,7 +67,7 @@ def test_random_subgroup_generator_is_sound():
             assert check_qfuzzy_subgroup(theta).verdict
 
 
-def test_generator_never_remembers_a_failing_column(monkeypatch):
+def test_generator_never_remembers_a_failing_chain(monkeypatch):
     group = standard_group("cyclic4")
     pool = AuditConfig().grade_pool
     # {0, 1} is not a subgroup of cyclic4, so a column graded higher on it fails
@@ -74,38 +79,81 @@ def test_generator_never_remembers_a_failing_column(monkeypatch):
             random_qfuzzy_subgroup(group, Q, random.Random("no memo"), pool)
 
 
-class Scripted:
-    """An RNG whose draws are the given indices in turn: the generators draw
-    an index with `getrandbits`, so each call returns the next one."""
-
-    def __init__(self, *picks):
-        self.picks = iter(picks)
-
-    def getrandbits(self, k):
-        return next(self.picks)
+def depth_table(group, chain):
+    # the one-label table grading each element by the deepest layer holding it
+    depth = [max(i for i, layer in enumerate(chain) if x in layer) for x in range(group.order)]
+    return (tuple(depth),), len(chain)
 
 
-def test_generator_checks_each_distinct_column_once(monkeypatch):
+def test_generator_checks_each_chain_once(monkeypatch):
     group = standard_group("symmetric3")
     pool = AuditConfig().grade_pool
-    checked = []
+    checked, chains = [], []
+    random_chain = lab._random_chain
 
     def check(theta):
         checked.append(theta)
         return check_qfuzzy_subgroup(theta)
 
+    def chain(group, rng):
+        chains.append(random_chain(group, rng))
+        return chains[-1]
+
     monkeypatch.setattr(lab, "check_qfuzzy_subgroup", check)
-    first = random_qfuzzy_subgroup(group, Q, random.Random("memo"), pool)
-    again = random_qfuzzy_subgroup(group, Q, random.Random("memo"), pool)
-    assert again == first and checked == [first]
-    # one-layer chains: each label's column is the constant the RNG picks
-    monkeypatch.setattr(lab, "_random_chain", lambda group, rng: (frozenset(range(6)),))
-    labels = ("q1", "q2")
-    new = random_qfuzzy_subgroup(group, Q, Scripted(2), pool)
-    seen = random_qfuzzy_subgroup(group, labels, Scripted(2, 2), pool)
-    one_new = random_qfuzzy_subgroup(group, labels, Scripted(2, 5), pool)
-    random_qfuzzy_subgroup(group, labels, Scripted(5, 2), pool)
-    assert checked == [first, new, one_new] and seen.columns == new.columns * 2
+    monkeypatch.setattr(lab, "_random_chain", chain)
+    lab._layer_plan.cache_clear()
+    labels = tuple(f"q{i}" for i in range(12))  # symmetric3 has 10 chains
+    first = random_qfuzzy_subgroup(group, labels, random.Random("memo"), pool)
+    again = random_qfuzzy_subgroup(group, labels, random.Random("memo"), pool)
+    assert again == first
+    distinct = list(dict.fromkeys(chains))
+    assert len(chains) == 24 and len(distinct) < 12
+    assert [(t.columns, t.den) for t in checked] == [depth_table(group, c) for c in distinct]
+
+
+def test_layer_plans_are_kept_per_group():
+    # {0, 1} is a subgroup of klein4 (e, a), not of cyclic4 (0, 1): the plan
+    # built for klein4 must not pass cyclic4's chain unchecked
+    chain = (frozenset(range(4)), frozenset({0, 1}))
+    assert lab._layer_plan(standard_group("klein4"), chain)((0, 1)) == (1, 1, 0, 0)
+    for _ in range(2):
+        with pytest.raises(lab.GeneratorSoundnessError, match="on cyclic4 is not a subgroup"):
+            lab._layer_plan(standard_group("cyclic4"), chain)
+
+
+def subgroup_chains(group):
+    # every chain `_random_chain` can return: the whole group, then up to
+    # three strictly smaller subgroups, each inside the one before
+    subs = oracle.all_subgroups(group)
+    chains, frontier = [], [(frozenset(range(group.order)),)]
+    while frontier:
+        chain = frontier.pop()
+        chains.append(chain)
+        if len(chain) < 4:
+            frontier.extend(chain + (h,) for h in subs if h < chain[-1])
+    return chains
+
+
+def test_every_column_read_from_a_catalog_chain_is_a_subgroup():
+    # the proof behind checking a chain once: under any weakly increasing
+    # grading, each level set of the column is a subgroup
+    pool = GradePool(DEFAULT_POOL)
+    tables = 0
+    catalog = [standard_group(name) for name in DEFAULT_CATALOG]
+    assert sum(len(subgroup_chains(group)) for group in catalog) == 128
+    for group in catalog:
+        subs = set(oracle.all_subgroups(group))
+        for chain in subgroup_chains(group):
+            plan = lab._layer_plan(group, chain)
+            for grades in itertools.combinations_with_replacement(pool.scaled, len(chain)):
+                theta = QFuzzySubset(group, Q, (plan(grades),), pool.den)
+                assert check_qfuzzy_subgroup(theta).verdict
+                assert oracle.check_qfuzzy_subgroup(theta).verdict
+                whole = alpha_restrict(theta, F(1))  # theta itself, as a restriction
+                for c in oracle.achieved_grades(whole, "q"):
+                    assert oracle.level_set(whole, c, "q") in subs
+                tables += 1
+    assert tables == 12_308
 
 
 @pytest.mark.parametrize("n", range(1, 21))  # at a power of two, half the draws are redrawn
