@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,13 +49,6 @@ def scale_grades(values) -> tuple[tuple[int, ...], int]:
     ratios = [g.as_integer_ratio() for g in values]
     den = math.lcm(*[d for _, d in ratios])
     return tuple([n * (den // d) for n, d in ratios]), den
-
-
-def sorted_grades(values) -> list[Fraction]:
-    """The grades in ascending order; equal grades keep their given order."""
-    values = list(values)
-    ranked = sorted(zip(scale_grades(values)[0], values), key=itemgetter(0))
-    return [g for _, g in ranked]
 
 
 class GradePool(tuple):

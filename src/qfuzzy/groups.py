@@ -6,12 +6,20 @@ re-checks the four group axioms and reports a concrete witness on failure.
 
 Element orderings of the built-in catalog are fixed:
 
-* ``cyclic n``      -- elements "0".."n-1", table[i][j] = (i + j) mod n
+* ``cyclicN``       -- elements "0".."N-1", table[i][j] = (i + j) mod N
 * ``klein4``        -- e, a, b, c with a^2 = b^2 = c^2 = e and ab = c
-* ``symmetric 3``   -- e, r, rr, f, rf, rrf  (r a 3-cycle, f a flip)
-* ``dihedral 4``    -- e, r, rr, rrr, s, rs, rrs, rrrs  (square symmetries)
-* ``quaternion 8``  -- 1, -1, i, -i, j, -j, k, -k
-* products          -- row-major pairs "(x,y)", name "AxB"
+* ``symmetric3``    -- e, r, rr, f, rf, rrf  (r a 3-cycle, f a flip)
+* ``dihedral4``     -- e, r, rr, rrr, s, rs, rrs, rrrs  (square symmetries)
+* ``quaternion8``   -- 1, -1, i, -i, j, -j, k, -k
+* ``AxB``           -- the direct product, row-major pairs "(x,y)"
+
+A spec is read verbatim and is the group's name: no other spelling names
+a catalog group.  The non-abelian catalog groups are built by one rule
+(`_group_from`): list (label, element) pairs and multiply the elements.
+``symmetric3`` and ``dihedral4`` are dihedral groups (`_dihedral`),
+permutations of Z_n made from the rotation r: x -> x + 1 and the flip
+x -> -x; ``quaternion8`` is the unit integer quaternions under Hamilton's
+product.
 
 Maps between groups are total image arrays tagged homomorphism
 (f(xy) = f(x)f(y)) or anti-homomorphism (f(xy) = f(y)f(x)), which is a
@@ -242,17 +250,12 @@ def build_group(name: str, element_names, table) -> FiniteGroup:
     return FiniteGroup(name, elements, rows, identity, tuple(inverses))
 
 
-def _perm_group(name: str, named_perms: list[tuple[str, tuple[int, ...]]]) -> FiniteGroup:
-    lookup = {perm: idx for idx, (_, perm) in enumerate(named_perms)}
-    n = len(named_perms)
-    table = []
-    for _, p in named_perms:
-        row = []
-        for _, q in named_perms:
-            composed = tuple(p[q[i]] for i in range(len(q)))
-            row.append(lookup[composed])
-        table.append(tuple(row))
-    return build_group(name, [label for label, _ in named_perms], table)
+def _group_from(name: str, named, mul) -> FiniteGroup:
+    """The group of the (label, element) pairs under the product rule
+    `mul`, in the order given; a product outside the list is a KeyError."""
+    index = {element: i for i, (_, element) in enumerate(named)}
+    table = [[index[mul(a, b)] for _, b in named] for _, a in named]
+    return build_group(name, [label for label, _ in named], table)
 
 
 def _cyclic(n: int) -> FiniteGroup:
@@ -268,55 +271,34 @@ def _klein4() -> FiniteGroup:
     return build_group("klein4", ["e", "a", "b", "c"], table)
 
 
-def _symmetric3() -> FiniteGroup:
-    e = (0, 1, 2)
-    r = (1, 2, 0)
-    rr = (2, 0, 1)
-    f = (0, 2, 1)
-    rf = tuple(r[f[i]] for i in range(3))
-    rrf = tuple(rr[f[i]] for i in range(3))
-    return _perm_group(
-        "symmetric3",
-        [("e", e), ("r", r), ("rr", rr), ("f", f), ("rf", rf), ("rrf", rrf)],
+def _dihedral(name: str, n: int, flip: str) -> FiniteGroup:
+    """The symmetries of the n-gon as permutations of Z_n, composed right
+    to left: r^i (x -> x + i), then r^i flip (x -> i - x)."""
+    rotations = [("r" * i or "e", tuple((x + i) % n for x in range(n))) for i in range(n)]
+    flips = [("r" * i + flip, tuple((i - x) % n for x in range(n))) for i in range(n)]
+    return _group_from(name, rotations + flips, lambda p, q: tuple(p[x] for x in q))
+
+
+def _hamilton(p, q):
+    """Hamilton's product of quaternions a + bi + cj + dk as (a, b, c, d)."""
+    a, b, c, d = p
+    w, x, y, z = q
+    return (
+        a * w - b * x - c * y - d * z,
+        a * x + b * w + c * z - d * y,
+        a * y - b * z + c * w + d * x,
+        a * z + b * y - c * x + d * w,
     )
 
 
-def _dihedral4() -> FiniteGroup:
-    r = (1, 2, 3, 0)
-    s = (0, 3, 2, 1)
-    powers = [(0, 1, 2, 3)]
-    for _ in range(3):
-        powers.append(tuple(r[powers[-1][i]] for i in range(4)))
-    named = []
-    for i, label in enumerate(["e", "r", "rr", "rrr"]):
-        named.append((label, powers[i]))
-    for i, label in enumerate(["s", "rs", "rrs", "rrrs"]):
-        named.append((label, tuple(powers[i][s[j]] for j in range(4))))
-    return _perm_group("dihedral4", named)
-
-
 def _quaternion8() -> FiniteGroup:
-    units = ["1", "i", "j", "k"]
-    mul = {
-        ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-        ("i", "1"): (1, "i"), ("i", "i"): (-1, "1"), ("i", "j"): (1, "k"), ("i", "k"): (-1, "j"),
-        ("j", "1"): (1, "j"), ("j", "i"): (-1, "k"), ("j", "j"): (-1, "1"), ("j", "k"): (1, "i"),
-        ("k", "1"): (1, "k"), ("k", "i"): (1, "j"), ("k", "j"): (-1, "i"), ("k", "k"): (-1, "1"),
-    }
-    elements = []
-    for u in units:
-        elements.append((1, u))
-        elements.append((-1, u))
-    labels = [("" if s == 1 else "-") + u for s, u in elements]
-    index = {elem: i for i, elem in enumerate(elements)}
-    table = []
-    for s1, u1 in elements:
-        row = []
-        for s2, u2 in elements:
-            s3, u3 = mul[(u1, u2)]
-            row.append(index[(s1 * s2 * s3, u3)])
-        table.append(row)
-    return build_group("quaternion8", labels, table)
+    """The unit integer quaternions 1, -1, i, -i, j, -j, k, -k."""
+    named = [
+        (sign + unit, tuple(s * (t == u) for t in range(4)))
+        for u, unit in enumerate("1ijk")
+        for sign, s in (("", 1), ("-", -1))
+    ]
+    return _group_from("quaternion8", named, _hamilton)
 
 
 @lru_cache(maxsize=None)
@@ -331,17 +313,15 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def standard_group(spec: str) -> FiniteGroup:
-    """Build a catalog group by name; 'AxB' builds a direct product."""
-    text = spec.strip().lower().replace(" ", "")
-    if "x" in text:
-        if "" in text.split("x"):  # a product with an empty side
+    """Build a catalog group by its canonical name, read verbatim; 'AxB'
+    builds a direct product.  The group's name is the spec."""
+    if "x" in spec:
+        if "" in spec.split("x"):  # a product with an empty side
             raise GroupError(f"unknown group spec {spec!r}")
-        left, _, right = text.partition("x")
+        left, _, right = spec.partition("x")
         return direct_product(standard_group(left), standard_group(right))
-    if text == "trivial":
-        return _cyclic(1)
-    if text.startswith("cyclic"):
-        digits = text[len("cyclic"):]
+    if spec.startswith("cyclic"):
+        digits = spec[len("cyclic"):]
         try:
             # canonical ASCII decimal only: int() also reads a sign, "_",
             # leading zeros and other scripts' digits (and refuses a long one)
@@ -354,12 +334,12 @@ def standard_group(spec: str) -> FiniteGroup:
         return _cyclic(n)
     builders = {
         "klein4": _klein4,
-        "symmetric3": _symmetric3,
-        "dihedral4": _dihedral4,
+        "symmetric3": lambda: _dihedral("symmetric3", 3, "f"),
+        "dihedral4": lambda: _dihedral("dihedral4", 4, "s"),
         "quaternion8": _quaternion8,
     }
-    if text in builders:
-        return builders[text]()
+    if spec in builders:
+        return builders[spec]()
     raise GroupError(f"unknown group spec {spec!r}")
 
 

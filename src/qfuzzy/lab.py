@@ -39,7 +39,6 @@ from .grades import (
     GradePool,
     format_grade,
     parse_grade,
-    sorted_grades,
     validate_grade,
 )
 from .groups import (
@@ -85,10 +84,7 @@ class ReproductionError(AssertionError):
 
 
 DEFAULT_POOL = tuple(
-    sorted_grades(
-        Fraction(p)
-        for p in ("0", "9/100", "1/10", "1/5", "3/10", "2/5", "1/2", "1")
-    )
+    sorted(Fraction(p) for p in ("0", "9/100", "1/10", "1/5", "3/10", "2/5", "1/2", "1"))
 )
 
 DEFAULT_CATALOG = tuple(
@@ -137,7 +133,7 @@ class AuditConfig:
             raise ValueError("q_size must be >= 1")
         if not self.grade_pool:
             raise ValueError("grade pool must be nonempty")
-        pool = GradePool(sorted_grades(validate_grade(g) for g in self.grade_pool))
+        pool = GradePool(sorted(validate_grade(g) for g in self.grade_pool))
         object.__setattr__(self, "grade_pool", pool)
         object.__setattr__(self, "catalog", tuple(self.catalog))
         object.__setattr__(self, "map_pairs", tuple(tuple(p) for p in self.map_pairs))
@@ -612,8 +608,8 @@ def _p4_11_note(tally, maps):
         f"literal min-form claim for the complement held in "
         f"{tally.held}/{tally.held + tally.missed} trials"
     )
-    if tally.first_miss:
-        text += f"; first literal counterexample: {tally.first_miss['violation']}"
+    if tally.first_miss is not None:
+        text += f"; first literal counterexample: {tally.first_miss}"
     return text
 
 
@@ -628,8 +624,8 @@ def _p5_8_note(tally, maps):
             f"; literal claim over non-injective maps held in "
             f"{tally.held}/{tally.held + tally.missed} evaluations"
         )
-    if tally.first_miss:
-        text += f"; first counterexample: {tally.first_miss['violation']}"
+    if tally.first_miss is not None:
+        text += f"; first counterexample: {tally.first_miss}"
     return text
 
 
@@ -807,9 +803,9 @@ class _Tally:
     missed: int = 0
     held_split: int = 0
     missed_split: int = 0
-    first_miss: dict | None = None  # record of the first finding with a violation
+    first_miss: str | None = None  # the first missed finding's violation
 
-    def find(self, held: bool, split: bool, record: dict | None):
+    def find(self, held: bool, split: bool, violation: str | None):
         if held:
             self.held += 1
             self.held_split += split
@@ -817,7 +813,7 @@ class _Tally:
             self.missed += 1
             self.missed_split += split
             if self.first_miss is None:
-                self.first_miss = record
+                self.first_miss = violation
 
 
 def _record(claim: Claim, inputs: tuple, f, detail) -> dict:
@@ -835,10 +831,7 @@ def _judge(claim: Claim, inputs: tuple, maps, tally: _Tally):
     for f in maps if claim.map_kinds else (None,):
         ok, detail, *finding = claim.conclusion(*(inputs if f is None else (f, *inputs)))
         for held, violation in finding:
-            # the tally keeps only the first missed finding with a violation
-            keep = not held and violation is not None and tally.first_miss is None
-            miss = _record(claim, inputs, f, violation) if keep else None
-            tally.find(held, claim.split is not None and claim.split(f), miss)
+            tally.find(held, claim.split is not None and claim.split(f), violation)
         if not ok:
             return False, detail, f
     return True, None, None

@@ -32,7 +32,7 @@ from qfuzzy.fuzzy import (
     _require_shared_carrier,
     make_qfuzzy,
 )
-from qfuzzy.grades import ONE, ZERO, GradeError, format_grade, sorted_grades
+from qfuzzy.grades import ONE, ZERO, GradeError, format_grade
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
@@ -603,7 +603,7 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     rows = [[ZERO] * len(q_labels) for _ in range(group.order)]
     for k in range(len(q_labels)):
         chain = _random_chain(group, rng)
-        grades = sorted_grades([rng.choice(pool) for _ in chain])
+        grades = sorted([rng.choice(pool) for _ in chain])
         for x in range(group.order):
             depth = max(i for i, layer in enumerate(chain) if x in layer)
             rows[x][k] = grades[depth]

@@ -54,6 +54,21 @@ def test_group_show_unknown_spec_is_usage_error():
     assert result.returncode == 64 and "bad cyclic group spec" in result.stderr
 
 
+def test_a_group_spec_names_one_group_under_its_own_name(tmp_path):
+    # a spec is read verbatim: another spelling or an alias names no group
+    for spec in ("CYCLIC12", "trivial"):
+        result = run_cli("group", "show", spec)
+        assert result.returncode == 64 and result.stdout == ""
+        assert f"unknown group spec {spec!r}" in result.stderr
+    result = run_cli("audit", "--props", "P4.6", "--catalog", "cyclic 1 2", "--trials", "1")
+    assert result.returncode == 64 and "bad cyclic group spec 'cyclic 1 2'" in result.stderr
+    # in a fuzzy file the group line is data, so a misspelt name is an input error
+    path = tmp_path / "klein.fuzzy"
+    path.write_text("group: Klein4\nq_labels: q\ngrades:\ne q 1\n")
+    result = run_cli("fuzzy", "check", str(path))
+    assert result.returncode == 65 and "unknown group spec 'Klein4'" in result.stderr
+
+
 def test_group_file_with_a_comment_label_exits_65(tmp_path):
     # the row "#a e" reads as a comment, so the label, not the table's shape,
     # is what the error names

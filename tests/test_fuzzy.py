@@ -131,7 +131,7 @@ def test_product_grades():
 
 def test_product_with_full_trivial_factor_keeps_grades():
     c2 = standard_group("cyclic2")
-    trivial = standard_group("trivial")
+    trivial = standard_group("cyclic1")
     phi = alpha_restrict(make_qfuzzy(c2, Q, [[F(1, 2)], [F(1, 4)]]), F(1))
     full = alpha_restrict(constant_qfuzzy(trivial, Q, F(1)), F(1))
     prod = product(phi, full)
@@ -174,7 +174,7 @@ def test_image_identity_and_constant_maps():
     ident = make_map(g, g, range(4), HOMOMORPHISM)
     assert _image_alpha(ident, phi).grades == phi.grades
     assert _preimage_alpha(ident, phi).grades == phi.grades
-    trivial_target = standard_group("trivial")
+    trivial_target = standard_group("cyclic1")
     collapse = make_map(g, trivial_target, [0, 0, 0, 0], HOMOMORPHISM)
     img = _image_alpha(collapse, phi)
     assert img.grade(0, 0) == F(2, 5)  # max over all of klein4

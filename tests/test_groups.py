@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import re
 
@@ -120,7 +121,7 @@ def tables_with_identity(draw):
         labels, rows = list(g.elements), [list(row) for row in g.table]
         identity, is_group = g.identity, True
     else:
-        g = standard_group(draw(st.sampled_from(["trivial", "cyclic2", "cyclic3"])))
+        g = standard_group(draw(st.sampled_from(["cyclic1", "cyclic2", "cyclic3"])))
         (labels, rows), identity, is_group = loop_times(g), 0, False
     n = len(rows)
     if draw(st.booleans()):
@@ -172,17 +173,40 @@ def test_build_group_rejects_bad_entries():
         ("cyclic12", 12),
         ("klein4", 4),
         ("symmetric3", 6),
-        ("symmetric 3", 6),
         ("dihedral4", 8),
         ("quaternion8", 8),
         ("cyclic2xcyclic2", 4),
         ("cyclic2xcyclic2xcyclic2xcyclic2xcyclic2", 32),
-        ("trivial", 1),
     ],
 )
 def test_standard_groups_are_valid(spec, order):
     g = standard_group(spec)
+    assert g.name == spec
     assert g.order == order
+    brute_force_axioms(g)
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        ("klein4", "287154c64677cf548d18f0b33dc0ef31ebc73dfaece6f6ebfa4103bad2e60321"),
+        ("symmetric3", "0409eaa7ac5e6b08d0bfb4fcfa4c03095022c3413250c1468d124d56b1692856"),
+        ("dihedral4", "c0a2ea808aebc376790b23d74256503b28406ee86ff554413845a00b09b07c81"),
+        ("quaternion8", "a0982e187b564c1740cb5d265c9d55772e5b0b38aa79a0760ecfd0be7b15896d"),
+    ],
+)
+def test_hand_made_catalog_tables_are_pinned(spec, digest):
+    # labels, element order and table: every draw and witness reads them
+    text = format_group_file(standard_group(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n,subgroups", [(3, 6), (4, 10), (5, 8), (6, 16), (7, 10)])
+def test_dihedral_groups_have_tau_plus_sigma_subgroups(n, subgroups):
+    # the dihedral group of order 2n has tau(n) + sigma(n) subgroups (Cavior 1975)
+    g = groups._dihedral(f"dihedral{n}", n, "s")
+    assert g.order == 2 * n
+    assert len(all_subgroups(g)) == subgroups
     brute_force_axioms(g)
 
 
@@ -206,14 +230,20 @@ def test_symmetric3_non_abelian():
 
 def test_unknown_spec_rejected():
     # a product with an empty side is named as given, not as ''
-    for spec in ("monster", "cyclic2x", "x", "xcyclic2", "cyclic2xcyclic3x"):
+    # a spec is read verbatim: no other spelling or alias names a group
+    for spec in (
+        "monster", "cyclic2x", "x", "xcyclic2", "cyclic2xcyclic3x",
+        "symmetric 3", "CYCLIC12", " klein4", "trivial",
+    ):
         with pytest.raises(GroupError, match=f"^unknown group spec {spec!r}$"):
             standard_group(spec)
 
 
 def test_cyclic_order_is_read_in_canonical_decimal_only():
     # int() reads each of these as an order (12, 3, 3, 3); none names a group
-    for spec in ("cyclic1_2", "cyclic\u0663", "cyclic+3", "cyclic03", "cyclic00", "cyclic-1"):
+    for spec in (
+        "cyclic1_2", "cyclic\u0663", "cyclic+3", "cyclic03", "cyclic00", "cyclic-1", "cyclic 1 2",
+    ):
         with pytest.raises(GroupError, match=f"^bad cyclic group spec {re.escape(repr(spec))}$"):
             standard_group(spec)
     with pytest.raises(GroupError, match="^bad cyclic group spec"):
@@ -225,7 +255,7 @@ def test_cyclic_order_is_read_in_canonical_decimal_only():
 
 def test_direct_product_with_trivial_is_relabelled_copy():
     g = standard_group("klein4")
-    prod = direct_product(g, standard_group("trivial"))
+    prod = direct_product(g, standard_group("cyclic1"))
     assert prod.order == 4
     # entry-wise Cayley comparison after stripping the trivial coordinate
     assert prod.table == g.table

@@ -34,7 +34,6 @@ from qfuzzy.fuzzy import (
 from qfuzzy.grades import (
     GradeError,
     scale_grades,
-    sorted_grades,
     validate_grade,
 )
 from qfuzzy.groups import (
@@ -253,8 +252,8 @@ MAP_PAIRS = (
     ("dihedral4", "klein4"),
     ("cyclic2xcyclic4", "cyclic4"),
     ("dihedral4", "dihedral4"),
-    ("trivial", "cyclic2"),
-    ("cyclic2", "trivial"),
+    ("cyclic1", "cyclic2"),
+    ("cyclic2", "cyclic1"),
 )
 # cuts the pool does not contain, so level sets are also cut between grades
 CUTS = st.sampled_from(POOL + (F(1, 6), F(3, 10), F(2, 3)))
@@ -275,7 +274,7 @@ def test_map_plans_read_fibers_and_images():
     # one gather on an injective map; a preimage is the column read at the
     # images.  The order-1 pairs take `gather`'s one-index case
     rng = random.Random("plans")
-    order_one = (("trivial", "trivial"), ("trivial", "cyclic2"), ("cyclic2", "trivial"))
+    order_one = (("cyclic1", "cyclic1"), ("cyclic1", "cyclic2"), ("cyclic2", "cyclic1"))
     for pair in DEFAULT_MAP_PAIRS + order_one:
         source, target = (standard_group(g) for g in pair)
         for f in lab._enumerated_maps(source, target, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8):
@@ -450,7 +449,6 @@ def test_all_cyclic_matches_the_classify_cyclic_report(theta, alpha):
 
 @given(st.lists(grades, min_size=1, max_size=6))
 def test_grade_order_helpers_match_fraction_order(values):
-    assert sorted_grades(values) == sorted(values)
     scaled, den = scale_grades(values)
     assert list(scaled) == oracle.scaled_column(values)
     assert [F(n, den) for n in scaled] == values
