@@ -21,8 +21,6 @@ from operator import eq, le
 
 from .grades import (
     GradeError,
-    ZERO,
-    ONE,
     format_grade,
     parse_grade,
     scale_grades,
@@ -124,17 +122,6 @@ def make_qfuzzy(group: FiniteGroup, q_labels, grades) -> QFuzzySubset:
         )
     checked = tuple(tuple(validate_grade(g) for g in row) for row in rows)
     return QFuzzySubset.from_grades(group, q_labels, checked)
-
-
-def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) -> QFuzzySubset:
-    """Two-valued subset: `inside` on the given crisp set, `outside` elsewhere."""
-    subset = frozenset(subset)
-    q_labels = tuple(q_labels)
-    rows = [
-        [inside if x in subset else outside] * len(q_labels)
-        for x in range(group.order)
-    ]
-    return make_qfuzzy(group, q_labels, rows)
 
 
 def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:

@@ -15,8 +15,8 @@ inclusions in their level-set form, over every achieved cut, and
 the lab's checks did before they compared grades pointwise and stopped at
 the first level set that is not a cyclic subgroup.  `compose_with_inversion`
 builds anti-homomorphisms another way than `enumerate_maps` does, and
-`constant_qfuzzy` is a table builder the tests share.  Only the tests use
-this module.
+`constant_qfuzzy` and `indicator` are table builders the tests share.  Only
+the tests use this module.
 """
 from __future__ import annotations
 
@@ -630,3 +630,14 @@ def constant_qfuzzy(group: FiniteGroup, q_labels, value: Fraction) -> QFuzzySubs
     """Every grade `value`, through the validating constructor."""
     q_labels = tuple(q_labels)
     return make_qfuzzy(group, q_labels, [[value] * len(q_labels)] * group.order)
+
+
+def indicator(group: FiniteGroup, q_labels, subset, inside=ONE, outside=ZERO) -> QFuzzySubset:
+    """Two-valued subset: `inside` on the given crisp set, `outside` elsewhere."""
+    subset = frozenset(subset)
+    q_labels = tuple(q_labels)
+    rows = [
+        [inside if x in subset else outside] * len(q_labels)
+        for x in range(group.order)
+    ]
+    return make_qfuzzy(group, q_labels, rows)

@@ -14,12 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from fraction_oracle import achieved_grades, compose_with_inversion
+from fraction_oracle import achieved_grades, compose_with_inversion, indicator
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
 from qfuzzy.fuzzy import (
     alpha_restrict,
     complement,
-    indicator,
     level_set,
     make_qfuzzy,
     union,

@@ -1,12 +1,11 @@
 import itertools
 from fractions import Fraction
 
-from fraction_oracle import constant_qfuzzy
+from fraction_oracle import constant_qfuzzy, indicator
 from qfuzzy.groups import all_subgroups, analyze_subset, standard_group
 from qfuzzy.fuzzy import (
     alpha_restrict,
     complement,
-    indicator,
     make_qfuzzy,
 )
 from qfuzzy.checks import (

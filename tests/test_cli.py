@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -252,6 +253,26 @@ def test_search_prints_every_revalidated_witness():
         for claim in SEARCHES
     )
     assert result.stdout == expected
+
+
+# sha256 of stdout, byte for byte: the searches' witnesses, both worked
+# examples, and a short structured audit of every claim
+CLI_DIGESTS = {
+    "search": "a2125639e6ec6b77e4e5dc0727f3407e9530025db14458f82abd451d947c97f9",
+    "examples reproduce 4.5": "0a78af821dd28c07cf1dffc0c1edb69c16046894bd3edb4f1302ffbfaada4c75",
+    "examples reproduce 4.10": "f6105a37b3568f4564c2425029ece4bbcbfc9626abc29ea3c4bcfbacfd747d40",
+    "audit --all --trials 20 --format structured":
+        "3dd71f3d3807facd8127bbde68708d6316e5ebd1f6a7569217c5366f8ae5d745",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_DIGESTS))
+def test_cli_output_is_pinned(command, capsys):
+    from qfuzzy import cli
+
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command]
 
 
 def test_search_unknown_id_is_usage_error():

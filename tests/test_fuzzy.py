@@ -16,7 +16,6 @@ from qfuzzy.fuzzy import (
     complement,
     format_fuzzy_file,
     image_subset,
-    indicator,
     level_set,
     make_qfuzzy,
     parse_fuzzy_file,

@@ -9,7 +9,7 @@ import pytest
 import fraction_oracle as oracle
 from qfuzzy import lab
 from qfuzzy.checks import check_alpha_subgroup, check_qfuzzy_subgroup
-from qfuzzy.fuzzy import QFuzzySubset, alpha_restrict, make_qfuzzy
+from qfuzzy.fuzzy import QFuzzySubset, alpha_restrict, make_qfuzzy, union
 from qfuzzy.grades import GradePool
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
@@ -338,12 +338,58 @@ def test_validate_witness_rejects_inputs_that_no_longer_refute():
     assert not validate_witness(p411)  # a constant's complement is a subgroup
 
 
-def test_search_oracle_disagreement_is_loud(monkeypatch):
-    # the level-set oracle only prefilters: a candidate it flags whose union
-    # the subgroup check accepts is an error, not a skipped candidate
-    monkeypatch.setattr(lab, "_is_fuzzy_subgroup_by_levels", lambda subgroups, column: False)
-    with pytest.raises(lab.GeneratorSoundnessError):
-        search_counterexample("R4.9", SMALL)
+# the default-catalog groups R4.9's space enumerates
+R4_9_GROUPS = [name for name in DEFAULT_CATALOG if standard_group(name).order <= 6]
+
+
+def _is_subgroup_by_levels(phi) -> bool:
+    # Das (1981): a fuzzy subset is a fuzzy subgroup iff each of its level
+    # sets at an achieved grade is a crisp subgroup
+    subgroups = set(oracle.all_subgroups(phi.group))
+    return all(
+        oracle.level_set(phi, c, q) in subgroups
+        for q in phi.q_labels for c in oracle.achieved_grades(phi, q)
+    )
+
+
+def test_r4_9_space_meets_the_hypothesis_and_the_level_set_test():
+    # every candidate over the default pool: the hypothesis holds, and the
+    # subgroup check of the restricted union agrees with the level-set test
+    claim, pool = lab.SEARCHES["R4.9"], AuditConfig().grade_pool
+    walked = 0
+    for name in R4_9_GROUPS:
+        for theta, sigma, alpha in claim.space(standard_group(name), pool):
+            assert claim.hypothesis(theta, sigma, alpha)
+            restricted = alpha_restrict(union(theta, sigma), alpha)
+            assert check_qfuzzy_subgroup(restricted).verdict == _is_subgroup_by_levels(restricted)
+            walked += 1
+    assert walked == 3200  # each restricted union column once
+
+
+def _first_failing_pair(group, pool):
+    # R4.9's walk without deduplication, in the space's order: every pair of
+    # two-valued tables, hi on a subgroup and lo elsewhere, at every alpha
+    claim = lab.SEARCHES["R4.9"]
+    tables = [
+        oracle.indicator(group, Q, sub, inside=hi, outside=lo)
+        for sub in oracle.all_subgroups(group) for hi in pool for lo in pool if hi > lo
+    ]
+    for theta, sigma in itertools.product(tables, repeat=2):
+        for alpha in pool:
+            if claim.hypothesis(theta, sigma, alpha):
+                ok, detail = claim.conclusion(theta, sigma, alpha)
+                if not ok:
+                    return {"claim": "R4.9", **lab._record(claim, (theta, sigma, alpha), None, detail)}
+    return None
+
+
+@pytest.mark.parametrize("name", R4_9_GROUPS)
+def test_r4_9_search_keeps_the_first_failing_pair_of_the_whole_walk(name):
+    cfg = AuditConfig(catalog=(name,), grade_pool=(F(0), F(1, 2), F(1)))
+    witness = search_counterexample("R4.9", cfg)
+    assert witness == _first_failing_pair(standard_group(name), cfg.grade_pool)
+    refuting = ("cyclic6", "klein4", "symmetric3", "cyclic2xcyclic2")
+    assert (witness["alpha"] if witness else None) == ("1/2" if name in refuting else None)
 
 
 def test_validate_witness_rejects_an_unknown_claim_before_decoding():
