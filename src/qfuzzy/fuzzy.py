@@ -10,14 +10,15 @@ of element x at the k-th q label as a numerator over `den`, one denominator
 for the whole table.  Operations build their results' columns from their
 operands' columns; the `Fraction` table `grades` is a view built on first
 read, for parsing, formatting, the codec and witnesses.  `compare` is the one
-pointwise order between two tables: equality, and inclusion (<=).
+pointwise order between two tables: equality, and inclusion (<=); it returns
+the verdict, and the checks in `checks` name witnesses.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import eq, le
+from operator import le
 
 from .grades import (
     GradeError,
@@ -104,7 +105,7 @@ class QFuzzySubset:
         return (
             (self.group, self.q_labels, self.base, self.alpha)
             == (other.group, other.q_labels, other.base, other.alpha)
-            and compare("equal", self, other)[0]
+            and compare("equal", self, other)
         )
 
 
@@ -147,51 +148,32 @@ def _require_shared_carrier(a, b) -> None:
         raise CarrierError("operands live on different carriers")
 
 
-def combine(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
-    """Pointwise max (union) or min (intersection)."""
+def _pointwise(op, a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
     _require_shared_carrier(a, b)
-    op = {"union": max, "intersection": min}.get(kind)
-    if op is None:
-        raise ValueError(f"unknown combine kind {kind!r}")
     columns = _pairwise(a, b, lambda ca, cb: tuple(map(op, ca, cb)))
     return QFuzzySubset(a.group, a.q_labels, *columns)
 
 
 def union(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
-    return combine("union", a, b)
+    """Pointwise max."""
+    return _pointwise(max, a, b)
 
 
 def intersection(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
-    return combine("intersection", a, b)
+    """Pointwise min."""
+    return _pointwise(min, a, b)
 
 
-def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset):
-    """Pointwise subset (<=) or equality test.
-
-    Returns (verdict, witness) where the witness is the first failing
-    (element label, q label) pair in element-major order, or None.
-    """
+def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> bool:
+    """Whether a <= b pointwise ("subset") or a == b ("equal")."""
     _require_shared_carrier(a, b)
     if kind not in ("subset", "equal"):
         raise ValueError(f"unknown compare kind {kind!r}")
-    if kind == "equal" and a.den == b.den and a.columns == b.columns:
-        return True, None
     den = math.lcm(a.den, b.den)
     columns_a, columns_b = _over(a, den), _over(b, den)
-    # one C-level test per label decides; only a label that fails is walked,
-    # to name the first failing element
     if kind == "equal":
-        failing = [k for k, ca in enumerate(columns_a) if ca != columns_b[k]]
-    else:
-        failing = [k for k, ca in enumerate(columns_a) if not all(map(le, ca, columns_b[k]))]
-    if not failing:
-        return True, None
-    holds = eq if kind == "equal" else le
-    x, k = next(
-        (x, k) for x in range(a.group.order) for k in failing
-        if not holds(columns_a[k][x], columns_b[k][x])
-    )
-    return False, (a.group.label(x), a.q_labels[k])
+        return columns_a == columns_b
+    return all(all(map(le, ca, cb)) for ca, cb in zip(columns_a, columns_b))
 
 
 def complement(theta: QFuzzySubset) -> QFuzzySubset:
@@ -225,7 +207,7 @@ def product(phi: QFuzzySubset, psi: QFuzzySubset) -> QFuzzySubset:
     out = alpha_restrict(base, phi.alpha)
     # By construction min(min(a,b), alpha) = min(min(a,alpha), min(b,alpha)).
     direct = QFuzzySubset(prod_group, phi.q_labels, *_pairwise(phi, psi, pairwise_min))
-    if not compare("equal", out, direct)[0]:
+    if not compare("equal", out, direct):
         raise InvariantError(
             "product: restricting the base differs from the direct product"
         )
@@ -347,14 +329,3 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
     # and every grade is validated: the table needs no second check
     return QFuzzySubset.from_grades(group, tuple(q_labels), rows)
 
-
-def format_fuzzy_file(theta: QFuzzySubset) -> str:
-    lines = [
-        f"group: {theta.group.name}",
-        "q_labels: " + " ".join(theta.q_labels),
-        "grades:",
-    ]
-    for x, elem in enumerate(theta.group.elements):
-        for k, q in enumerate(theta.q_labels):
-            lines.append(f"{elem} {q} {format_grade(theta.grades[x][k])}")
-    return "\n".join(lines) + "\n"

@@ -11,10 +11,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-
 class GradeError(ValueError):
     """A grade literal is malformed or falls outside [0, 1]."""
 

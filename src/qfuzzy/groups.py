@@ -104,12 +104,6 @@ class FiniteGroup:
         """column -> (column[x^-1] for each element x), in one C-level call."""
         return gather(self.inverses)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
-    def inv(self, i: int) -> int:
-        return self.inverses[i]
-
     def label(self, i: int) -> str:
         return self.elements[i]
 
@@ -350,9 +344,6 @@ class GroupMap:
     images: tuple[int, ...]
     kind: str
 
-    def apply(self, i: int) -> int:
-        return self.images[i]
-
     @cached_property
     def fibers(self) -> tuple[tuple[int, ...], ...]:
         """Per target element y, the source elements x with f(x) = y,
@@ -415,7 +406,7 @@ def make_map(source: FiniteGroup, target: FiniteGroup, images, kind: str) -> Gro
             raise MapError(f"image {y!r} is not a target element index")
     for x in range(source.order):
         for y in range(source.order):
-            lhs = images[source.mul(x, y)]
+            lhs = images[source.table[x][y]]
             rhs = table[images[x]][images[y]]
             if lhs != rhs:
                 raise MapError(
@@ -472,10 +463,8 @@ def enumerate_maps(
 @dataclass(frozen=True)
 class CrispSubsetAnalysis:
     is_subgroup: bool
-    closure: frozenset[int]
     is_abelian: bool
     is_cyclic: bool
-    generator: int | None
 
 
 def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
@@ -491,18 +480,11 @@ def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
 
 def _analyze(group: FiniteGroup, subset: frozenset[int]) -> CrispSubsetAnalysis:
     closed = closure_of(group, subset)
-    is_abelian = all(
-        group.mul(x, y) == group.mul(y, x) for x in closed for y in closed
-    )
-    generator = next(
-        (x for x in sorted(closed) if closure_of(group, (x,)) == closed), None
-    )
+    table = group.table
     return CrispSubsetAnalysis(
         is_subgroup=bool(subset) and closed == subset,
-        closure=closed,
-        is_abelian=is_abelian,
-        is_cyclic=generator is not None,
-        generator=generator,
+        is_abelian=all(table[x][y] == table[y][x] for x in closed for y in closed),
+        is_cyclic=any(closure_of(group, (x,)) == closed for x in closed),
     )
 
 
@@ -514,10 +496,8 @@ def _lattice_analyses(group: FiniteGroup) -> dict[frozenset[int], CrispSubsetAna
 
 
 def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
-    """Subgroup test for a crisp element set plus closure/abelian/cyclic data.
-
-    Abelian/cyclic verdicts refer to the closure, which is cyclic when some
-    <x> is all of it (the least such x is the generator).  A subgroup's
+    """Subgroup test for a crisp element set, and whether the subgroup it
+    generates is abelian, and cyclic (some <x> is all of it).  A subgroup's
     analysis is read from a table built once per group the same way.
     """
     subset = frozenset(subset)

@@ -317,7 +317,7 @@ def _outcome(report):
 def _check_p3_3(theta, sigma, alpha):
     lhs = alpha_restrict(intersection(theta, sigma), alpha)
     rhs = intersection(alpha_restrict(theta, alpha), alpha_restrict(sigma, alpha))
-    if compare("equal", lhs, rhs)[0]:
+    if compare("equal", lhs, rhs):
         return True, None
     return False, "restriction of intersection differs from intersection of restrictions"
 
@@ -331,9 +331,9 @@ def _preimage_alpha(f, psi):
 
 
 def _check_p3_4(f, phi, psi):
-    if not compare("equal", _image_alpha(f, phi), image_subset(f, phi))[0]:
+    if not compare("equal", _image_alpha(f, phi), image_subset(f, phi)):
         return False, "image does not commute with restriction"
-    if not compare("equal", _preimage_alpha(f, psi), preimage_subset(f, psi))[0]:
+    if not compare("equal", _preimage_alpha(f, psi), preimage_subset(f, psi)):
         return False, "preimage does not commute with restriction"
     return True, None
 
@@ -466,14 +466,14 @@ def _check_p5_8(f, psi):
 
 def _check_p5_10(f, phi):
     sigma = _image_alpha(f, phi)
-    inclusion = compare("subset", phi, preimage_subset(f, sigma))[0]
+    inclusion = compare("subset", phi, preimage_subset(f, sigma))
     detail = None if inclusion else "pushed level set escapes the image level set"
     return inclusion, detail, (_all_cyclic(sigma), None)
 
 
 def _check_p5_11(f, psi):
     theta = _preimage_alpha(f, psi)
-    inclusion = compare("subset", preimage_subset(f, psi), theta)[0]
+    inclusion = compare("subset", preimage_subset(f, psi), theta)
     detail = None if inclusion else "pulled level set escapes the preimage level set"
     return inclusion, detail, (_all_cyclic(theta), None)
 
@@ -504,7 +504,10 @@ def _two_level_pairs(group, pool: GradePool):
     # pairs of indicator-style tables, hi on a subgroup and lo elsewhere with
     # hi > lo, restricted at alpha: the hypothesis holds on each (its level
     # sets are G and the subgroup) and the conclusion reads only the restricted
-    # union, so each restricted union column is yielded once, at its first candidate
+    # union, so each restricted union column is yielded once, at its first
+    # candidate.  (b, a) gives the unions (a, b) gives, and the walk met (a, b)
+    # before it, so b runs from a on: the candidates and their order are those
+    # of the full square.
     if group.order > 6:
         return
     columns = [
@@ -512,8 +515,8 @@ def _two_level_pairs(group, pool: GradePool):
         for sub in all_subgroups(group) for hi in pool.scaled for lo in pool.scaled if hi > lo
     ]
     seen = set()
-    for a in columns:
-        for b in columns:
+    for i, a in enumerate(columns):
+        for b in columns[i:]:
             merged = tuple(map(max, a, b))
             for alpha, cap in zip(pool, pool.scaled):
                 restricted = tuple([g if g <= cap else cap for g in merged])
@@ -771,7 +774,6 @@ SEARCHES = {
 
 CLAIM_ORDER = tuple(CLAIMS)
 EXPECTED_VERIFIED = frozenset(c for c in CLAIMS if CLAIMS[c].status == "verified")
-RECORDED_CLAIMS = frozenset(c for c in CLAIMS if CLAIMS[c].status == "recorded")
 
 
 # --- the runner -----------------------------------------------------------------

@@ -3,7 +3,10 @@
 The four scans below compare grades as `Fraction`s over every pair, exactly
 as the checks did before they moved to scaled integers and skipped the pairs
 that cannot fail; `check_*` compose them the way `qfuzzy.checks` does, and
-`validate_grade` is the all-`Fraction` grade validation.  The grade helpers
+`validate_grade` is the all-`Fraction` grade validation.  `combine` (union or
+intersection) and `compare` work on the `Fraction` view; `compare` also names
+the first failing (element, q label) pair, which `fuzzy.compare` leaves to
+the checks.  The grade helpers
 below are those the kernels used while tables stored `Fraction`s and were
 scaled to integers on every call.  `closure_of` (by saturation),
 `all_subgroups` (closing each known subgroup with one more element) and the
@@ -32,7 +35,7 @@ from qfuzzy.fuzzy import (
     _require_shared_carrier,
     make_qfuzzy,
 )
-from qfuzzy.grades import ONE, ZERO, GradeError, format_grade
+from qfuzzy.grades import GradeError, format_grade
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
@@ -47,6 +50,9 @@ from qfuzzy.lab import (
     _image_alpha,
     _preimage_alpha,
 )
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def intersection(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
@@ -146,7 +152,7 @@ def _inverse_condition(group, q_labels, grades) -> ConditionResult:
     for k, q in enumerate(q_labels):
         for x in range(group.order):
             gx = grades[x][k]
-            ginv = grades[group.inv(x)][k]
+            ginv = grades[group.inverses[x]][k]
             if ginv < gx:
                 at = (group.label(x), q)
                 return ConditionResult(False, at, _violation(ginv, gx, at))
@@ -388,11 +394,11 @@ def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
     while frontier:
         x = frontier.pop()
         for y in list(current):
-            for z in (group.mul(x, y), group.mul(y, x)):
+            for z in (group.table[x][y], group.table[y][x]):
                 if z not in current:
                     current.add(z)
                     frontier.append(z)
-        ix = group.inv(x)
+        ix = group.inverses[x]
         if ix not in current:
             current.add(ix)
             frontier.append(ix)
@@ -431,14 +437,14 @@ def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
     closed = closure_of(group, subset)
     is_subgroup = bool(subset) and closed == subset
     is_abelian = all(
-        group.mul(x, y) == group.mul(y, x) for x in closed for y in closed
+        group.table[x][y] == group.table[y][x] for x in closed for y in closed
     )
     generator = None
     for x in sorted(closed):
         power = group.identity
         generated = {power}
         while True:
-            power = group.mul(power, x)
+            power = group.table[power][x]
             if power in generated:
                 break
             generated.add(power)
@@ -447,10 +453,8 @@ def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
             break
     return CrispSubsetAnalysis(
         is_subgroup=is_subgroup,
-        closure=closed,
         is_abelian=is_abelian,
         is_cyclic=generator is not None,
-        generator=generator,
     )
 
 
@@ -499,7 +503,7 @@ def _check_p4_7(phi):
         column = [phi.grades[x][k] for x in range(group.order)]
         for x in range(group.order):
             for y in range(group.order):
-                if column[group.mul(x, group.inv(y))] == column[e]:
+                if column[group.table[x][group.inverses[y]]] == column[e]:
                     if column[x] != column[y]:
                         return False, (
                             f"lhs = {format_grade(column[x])} != "
@@ -537,7 +541,7 @@ def pushed_within(f, phi, sigma) -> bool:
     """The image of phi's level set at each of its achieved cuts lies in
     sigma's level set at that cut."""
     return all(
-        {f.apply(x) for x in level_set(phi, cut, q)} <= level_set(sigma, cut, q)
+        {f.images[x] for x in level_set(phi, cut, q)} <= level_set(sigma, cut, q)
         for q in phi.q_labels for cut in achieved_grades(phi, q)
     )
 
@@ -550,7 +554,7 @@ def pulled_within(f, psi, theta) -> bool:
         for cut in achieved_grades(psi, q):
             pulled = {
                 x for x in range(f.source.order)
-                if f.apply(x) in level_set(psi, cut, q)
+                if f.images[x] in level_set(psi, cut, q)
             }
             if not pulled <= level_set(theta, cut, q):
                 inclusion = False
@@ -621,7 +625,7 @@ def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
 
 def compose_with_inversion(m: GroupMap) -> GroupMap:
     """x -> m(x^-1); flips homomorphism <-> anti-homomorphism."""
-    flipped = tuple(m.images[m.source.inv(x)] for x in range(m.source.order))
+    flipped = tuple(m.images[m.source.inverses[x]] for x in range(m.source.order))
     kind = ANTI_HOMOMORPHISM if m.kind == HOMOMORPHISM else HOMOMORPHISM
     return GroupMap(m.source, m.target, flipped, kind)
 

@@ -11,11 +11,10 @@ from qfuzzy.fuzzy import (
     CarrierError,
     InvariantError,
     alpha_restrict,
-    combine,
     compare,
     complement,
-    format_fuzzy_file,
     image_subset,
+    intersection,
     level_set,
     make_qfuzzy,
     parse_fuzzy_file,
@@ -81,18 +80,19 @@ def test_combine_and_compare():
     g = standard_group("cyclic4")
     a = make_qfuzzy(g, Q, [[F(2, 5)], [F(1, 10)], [F(1, 2)], [F(0)]])
     b = make_qfuzzy(g, Q, [[F(1, 5)], [F(3, 10)], [F(1, 2)], [F(1)]])
-    u = combine("union", a, b)
+    u = union(a, b)
     assert u.grades[0][0] == F(2, 5)
     assert u.grades[1][0] == F(3, 10)
-    i = combine("intersection", a, b)
-    assert compare("subset", i, a) == (True, None)
-    assert compare("subset", a, u) == (True, None)
-    assert compare("equal", a, a) == (True, None)
-    ok, witness = compare("subset", b, a)
-    assert not ok and witness == ("1", "q")
+    i = intersection(a, b)
+    assert compare("subset", i, a) is True
+    assert compare("subset", a, u) is True
+    assert compare("equal", a, a) is True
+    assert compare("subset", b, a) is False
     zero = constant_qfuzzy(g, Q, F(0))
-    assert combine("union", a, zero) == a
-    assert combine("intersection", a, a) == a
+    assert union(a, zero) == a
+    assert intersection(a, a) == a
+    with pytest.raises(ValueError, match="unknown compare kind"):
+        compare("superset", a, b)
 
 
 def test_carrier_mismatch_rejected():
@@ -152,9 +152,9 @@ def test_restriction_equality_compares_base_and_alpha():
     assert phi == alpha_restrict(klein_theta(), F(1))
     assert phi.base == theta and phi.alpha == F(1)
     # the same grades, but a restriction is not its base, nor one at another alpha
-    assert compare("equal", phi, theta)[0] and phi != theta and theta != phi
+    assert compare("equal", phi, theta) and phi != theta and theta != phi
     other = alpha_restrict(theta, F(1, 2))
-    assert compare("equal", phi, other)[0] and phi != other
+    assert compare("equal", phi, other) and phi != other
     assert theta.base is None and theta.alpha is None
 
 
@@ -204,7 +204,7 @@ def test_preimage_of_image_contains_original():
         for rows in grids:
             theta = make_qfuzzy(c2, Q, rows)
             back = preimage_subset(m, image_subset(m, theta))
-            assert compare("subset", theta, back) == (True, None)
+            assert compare("subset", theta, back)
 
 
 def test_broken_restriction_raises_invariant_error(monkeypatch):
@@ -238,10 +238,9 @@ def test_level_sets_antitone():
         assert level_set(phi, hi, "q") <= level_set(phi, lo, "q")
 
 
-def test_fuzzy_file_round_trip():
-    theta = klein_theta()
-    text = format_fuzzy_file(theta)
-    assert parse_fuzzy_file(text) == theta
+def test_fuzzy_file_parses_canonical_grades():
+    text = "group: klein4\nq_labels: q\ngrades:\ne q 1/5\na q 2/5\nb q 2/5\nc q 3/10\n"
+    assert parse_fuzzy_file(text) == klein_theta()
 
 
 def test_fuzzy_file_accepts_decimal_and_rational_literals():

@@ -22,7 +22,6 @@ from qfuzzy.lab import (
     DEFAULT_CATALOG,
     DEFAULT_POOL,
     EXPECTED_VERIFIED,
-    RECORDED_CLAIMS,
     AuditConfig,
     ReproductionError,
     audit,
@@ -37,6 +36,7 @@ from qfuzzy.reports import render_structured
 
 F = Fraction
 Q = ("q",)
+RECORDED_CLAIMS = frozenset(c for c in CLAIM_ORDER if lab.CLAIMS[c].status == "recorded")
 
 SMALL = AuditConfig(
     catalog=("cyclic2", "cyclic6", "symmetric3"),
@@ -390,6 +390,27 @@ def test_r4_9_search_keeps_the_first_failing_pair_of_the_whole_walk(name):
     assert witness == _first_failing_pair(standard_group(name), cfg.grade_pool)
     refuting = ("cyclic6", "klein4", "symmetric3", "cyclic2xcyclic2")
     assert (witness["alpha"] if witness else None) == ("1/2" if name in refuting else None)
+
+
+@pytest.mark.parametrize("name", R4_9_GROUPS)
+def test_r4_9_space_yields_the_first_pair_of_each_restricted_union(name):
+    # the space walks each unordered pair of tables once; its candidates, in
+    # order, are the pairs of the full square that first give their
+    # restricted union
+    group = standard_group(name)
+    pool = AuditConfig(grade_pool=(F(0), F(1, 10), F(1, 2), F(1))).grade_pool
+    tables = [
+        oracle.indicator(group, Q, sub, inside=hi, outside=lo)
+        for sub in oracle.all_subgroups(group) for hi in pool for lo in pool if hi > lo
+    ]
+    expected, seen = [], set()
+    for theta, sigma in itertools.product(tables, repeat=2):
+        for alpha in pool:
+            column = oracle.alpha_restrict(oracle.combine("union", theta, sigma), alpha).grades
+            if column not in seen:
+                seen.add(column)
+                expected.append((theta, sigma, alpha))
+    assert list(lab.SEARCHES["R4.9"].space(group, pool)) == expected
 
 
 def test_validate_witness_rejects_an_unknown_claim_before_decoding():

@@ -139,4 +139,4 @@ def test_verified_subgroups_have_dominant_identity(theta, alpha):
         g = phi.group
         column = [phi.grade(x, 0) for x in range(g.order)]
         assert column[g.identity] == max(column)
-        assert all(column[g.inv(x)] == column[x] for x in range(g.order))
+        assert all(column[g.inverses[x]] == column[x] for x in range(g.order))
