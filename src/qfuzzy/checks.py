@@ -18,17 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .grades import format_grade
 from .fuzzy import QFuzzySubset, level_sets
 from .groups import analyze_subset
 
 
-@dataclass(slots=True)
-class ConditionResult:
+class ConditionResult(NamedTuple):
     ok: bool
     witness: tuple | None = None
     detail: str | None = None
+
+
+# every condition that holds reports this one immutable result
+_HOLDS = ConditionResult(True)
 
 
 @dataclass(slots=True)
@@ -83,7 +87,7 @@ def _pair_condition(t, products, anti=False) -> ConditionResult:
                     if anti:
                         lhs, rhs = -rhs, -lhs
                     return ConditionResult(False, at, _violation(lhs, rhs, den, at))
-    return ConditionResult(True)
+    return _HOLDS
 
 
 def _inverse_condition(t) -> ConditionResult:
@@ -103,24 +107,18 @@ def _inverse_condition(t) -> ConditionResult:
                 return ConditionResult(
                     False, at, _violation(col[inverses[x]], col[x], den, at)
                 )
-    return ConditionResult(True)
-
-
-def _report(first_name: str, first: ConditionResult,
-            second_name: str, second: ConditionResult) -> CheckReport:
-    # the verdict is that both conditions hold; the witness, the first that fails
-    failed = second if first.ok else first
-    return CheckReport(
-        first.ok and second.ok, {first_name: first, second_name: second},
-        failed.witness, failed.detail,
-    )
+    return _HOLDS
 
 
 def _subgroup_report(t) -> CheckReport:
-    # the two conditions; the public checks call this, not each other, so a
-    # wrapper around one never sees the other's calls
-    return _report(
-        "closure", _pair_condition(t, t.group.table), "inverse", _inverse_condition(t)
+    # the two conditions; the verdict is that both hold, and the witness is
+    # the first that fails.  The public checks call this, not each other, so
+    # a wrapper around one never sees the other's calls
+    closure, inverse = _pair_condition(t, t.group.table), _inverse_condition(t)
+    failed = inverse if closure.ok else closure
+    return CheckReport(
+        closure.ok and inverse.ok, {"closure": closure, "inverse": inverse},
+        failed.witness, failed.detail,
     )
 
 
@@ -150,9 +148,12 @@ def check_anti_subgroup(phi: QFuzzySubset) -> CheckReport:
     """Reversed inequalities: grade(xy) <= max(grade(x), grade(y)) plus
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
-    return _report(
-        "anti_closure", _pair_condition(phi, phi.group.table, anti=True),
-        "inverse", _inverse_condition(phi),
+    closure = _pair_condition(phi, phi.group.table, anti=True)
+    inverse = _inverse_condition(phi)
+    failed = inverse if closure.ok else closure
+    return CheckReport(
+        closure.ok and inverse.ok, {"anti_closure": closure, "inverse": inverse},
+        failed.witness, failed.detail,
     )
 
 
@@ -166,8 +167,9 @@ def kernel_set(phi: QFuzzySubset) -> dict[str, frozenset[int]]:
     return kernels
 
 
-@dataclass(frozen=True)
-class AbelianSlice:
+class AbelianSlice(NamedTuple):
+    # immutable, and built with no per-field `object.__setattr__` call as a
+    # frozen dataclass's `__init__` makes
     q_label: str
     kernel: frozenset[int]
     is_subgroup: bool

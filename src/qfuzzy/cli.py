@@ -33,6 +33,7 @@ from .lab import (
     CLAIM_ORDER,
     EXAMPLES,
     EXPECTED_VERIFIED,
+    MAX_Q_SIZE,
     SEARCHES,
     AuditConfig,
     ReproductionError,
@@ -97,6 +98,9 @@ def _build_parser() -> _Parser:
 def _add_audit_flags(parser):
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
+        "--q-size", type=int, default=1, help=f"q labels per table, 1 to {MAX_Q_SIZE}"
+    )
     parser.add_argument("--catalog", nargs="+", help="group specs to audit over")
     parser.add_argument("--pool", nargs="+", help="grade literals for generators")
     parser.add_argument("--format", choices=["text", "structured"], default="text")
@@ -104,7 +108,7 @@ def _add_audit_flags(parser):
 
 
 def _config_from_args(args) -> AuditConfig:
-    kwargs = {"trials": args.trials, "seed": args.seed}
+    kwargs = {"trials": args.trials, "seed": args.seed, "q_size": args.q_size}
     try:
         if args.catalog:
             for spec in args.catalog:

@@ -127,8 +127,11 @@ def make_qfuzzy(group: FiniteGroup, q_labels, grades) -> QFuzzySubset:
 
 def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:
     """min(grade, alpha) everywhere, as a table holding theta and alpha."""
-    alpha = validate_grade(alpha)
+    if type(alpha) is not Fraction:
+        alpha = validate_grade(alpha)
     a, b = alpha.as_integer_ratio()
+    if not 0 <= a <= b:
+        validate_grade(alpha)  # raises, naming the grade
     den, columns = theta.den, theta.columns
     if den % b:  # alpha and every grade over one denominator
         den = math.lcm(den, b)
@@ -169,8 +172,11 @@ def compare(kind: str, a: QFuzzySubset, b: QFuzzySubset) -> bool:
     _require_shared_carrier(a, b)
     if kind not in ("subset", "equal"):
         raise ValueError(f"unknown compare kind {kind!r}")
-    den = math.lcm(a.den, b.den)
-    columns_a, columns_b = _over(a, den), _over(b, den)
+    if a.den == b.den:
+        columns_a, columns_b = a.columns, b.columns
+    else:
+        den = math.lcm(a.den, b.den)
+        columns_a, columns_b = _over(a, den), _over(b, den)
     if kind == "equal":
         return columns_a == columns_b
     return all(all(map(le, ca, cb)) for ca, cb in zip(columns_a, columns_b))

@@ -436,14 +436,18 @@ def enumerate_maps(
     n = source.order
     found: list[GroupMap] = []
     images: list[int | None] = [None] * n
+    # the equation of a pair (i, j) reads the images of i, j and ij, so the
+    # assignment at the greatest of the three completes it; every pair an
+    # earlier position completed held when that position was assigned
+    completed: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for i, row in enumerate(source.table):
+        for j, prod in enumerate(row):
+            completed[max(i, j, prod)].append((i, j, prod))
 
-    def consistent(limit: int) -> bool:
-        for i in range(limit + 1):
-            row = table[images[i]]
-            for j in range(limit + 1):
-                prod = source.table[i][j]
-                if prod <= limit and images[prod] != row[images[j]]:
-                    return False
+    def consistent(k: int) -> bool:
+        for i, j, prod in completed[k]:
+            if images[prod] != table[images[i]][images[j]]:
+                return False
         return True
 
     def extend(k: int) -> None:

@@ -115,6 +115,12 @@ DEFAULT_PRODUCT_PAIRS = (
 )
 
 
+# Most q labels an audit takes.  Each label is drawn and checked apart, so an
+# audit's work grows in proportion to the labels; the cap bounds it before
+# any label is built.
+MAX_Q_SIZE = 32
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     catalog: tuple[str, ...] = DEFAULT_CATALOG
@@ -129,8 +135,8 @@ class AuditConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.q_size < 1:
-            raise ValueError("q_size must be >= 1")
+        if not 1 <= self.q_size <= MAX_Q_SIZE:
+            raise ValueError(f"q_size must be from 1 to {MAX_Q_SIZE}, got {self.q_size}")
         if not self.grade_pool:
             raise ValueError("grade pool must be nonempty")
         pool = GradePool(sorted(validate_grade(g) for g in self.grade_pool))
@@ -166,19 +172,11 @@ def _trial_rng(config: AuditConfig, prop_id: str, carrier: str, trial: int):
     return random.Random(f"{config.seed}|{prop_id}|{carrier}|{trial}")
 
 
-def _indices(rng, n: int, count: int = 1) -> list[int]:
-    """`count` indices in range(n), each drawn as `Random._randbelow` draws
-    it: k = n.bit_length() bits, drawn again while they read n or more.  So
-    each is the index `rng.choice` takes from a sequence of length n, and the
-    value of `rng.randint(0, n - 1)`, with the same generator state after."""
-    getrandbits, k = rng.getrandbits, n.bit_length()
-    drawn = []
-    for _ in range(count):
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        drawn.append(r)
-    return drawn
+# Every index the generators draw is drawn as `Random._randbelow` draws it:
+# k = n.bit_length() bits, drawn again while they read n or more.  So it is
+# the index `rng.choice` takes from a sequence of length n, and the value of
+# `rng.randint(0, n - 1)`, with the same generator state after.  The draws are
+# written out in each generator's loop, where they run once per grade.
 
 
 def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
@@ -186,37 +184,52 @@ def random_qfuzzy(group, q_labels, rng, pool) -> QFuzzySubset:
     pool = GradePool(pool)  # AuditConfig's pool is validated and scaled already
     # an index into the pool draws an integer as `choice` would its grade;
     # the draws fill the table row by row
-    width = len(q_labels)
-    grades = [pool.scaled[i] for i in _indices(rng, len(pool), group.order * width)]
-    columns = tuple([tuple(grades[k::width]) for k in range(width)])
+    getrandbits, scaled, n = rng.getrandbits, pool.scaled, len(pool)
+    k, width = n.bit_length(), len(q_labels)
+    grades = []
+    for _ in range(group.order * width):
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        grades.append(scaled[i])
+    columns = tuple([tuple(grades[j::width]) for j in range(width)])
     return QFuzzySubset(group, q_labels, columns, pool.den)
 
 
+MAX_CHAIN_DEPTH = 3  # proper subgroups a generated chain descends through, at most
+
+
+class _ChainNode:
+    """A subgroup chain G = H0 > ... > Hk in its group's walk (`_chain_walk`).
+    Its children extend it by each proper subgroup of Hk, in `all_subgroups`
+    order, and its plan is `_layer_plan(group, chain)`: each is fetched on
+    first reach and then kept, apart from a plan whose check failed."""
+
+    __slots__ = ("group", "chain", "children", "plan")
+
+    def __init__(self, group, chain):
+        self.group, self.chain = group, chain
+        self.children = self.plan = None
+
+    def grow(self) -> tuple:
+        group, chain = self.group, self.chain
+        self.children = tuple([
+            _ChainNode(group, chain + (h,)) for h in all_subgroups(group) if h < chain[-1]
+        ])
+        return self.children
+
+
 @lru_cache(maxsize=None)
-def _proper_subgroups(group) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
-    # per subgroup, its proper subgroups in `all_subgroups` order; the whole
-    # group, which sorts last, comes first
-    subs = all_subgroups(group)
-    return {h: tuple(s for s in subs if s < h) for h in reversed(subs)}
+def _chain_walk(group) -> _ChainNode:
+    # the root of the group's walk: the chain of the whole group alone
+    return _ChainNode(group, (frozenset(range(group.order)),))
 
 
-def _random_chain(group, rng, max_depth=3) -> tuple[frozenset[int], ...]:
-    below = _proper_subgroups(group)
-    chain = [next(iter(below))]
-    for _ in range(_indices(rng, max_depth + 1)[0]):
-        nested = below[chain[-1]]
-        if not nested:
-            break
-        chain.append(nested[_indices(rng, len(nested))[0]])
-    return tuple(chain)
-
-
-@lru_cache(maxsize=None)
 def _layer_plan(group, chain):
     # ascending grades of the chain's layers -> the column: each element
     # reads the grade of the deepest layer that holds it.  Each level set of
     # such a column is {x : depth(x) >= i}, a level set of the depth table, so
-    # that table's one check covers them all; a failing chain is not cached
+    # that table's one check covers them all
     depth = [0] * len(chain[0])
     for i, layer in enumerate(chain):
         for x in layer:
@@ -232,18 +245,48 @@ def _layer_plan(group, chain):
 def random_qfuzzy_subgroup(group, q_labels, rng, pool) -> QFuzzySubset:
     """Genuine Q-fuzzy subgroup from a random descending subgroup chain.
 
-    Per q label: pick a chain G = H0 > H1 > ... > Hk and a weakly increasing
-    grade sequence; the grade of x is the grade of the deepest layer
-    containing x.  Each chain is checked once per group, as its table of
-    depths, when its layer plan is built, and generation aborts if that
-    check fails; every column read from a chain that passed is a subgroup.
+    Per q label: pick a chain G = H0 > H1 > ... > Hk, k drawn from
+    0..MAX_CHAIN_DEPTH and cut short where no proper subgroup is left, and a
+    weakly increasing grade sequence; the grade of x is the grade of the
+    deepest layer containing x.  Each chain is checked once per group, as
+    its table of depths, when its node in the group's walk first builds its
+    layer plan, and generation aborts if that check fails, on every draw that
+    reaches the chain; every column read from a chain that passed is a
+    subgroup.
     """
     pool = GradePool(pool)
+    getrandbits, scaled, n = rng.getrandbits, pool.scaled, len(pool)
+    k = n.bit_length()
+    depth_bits = (MAX_CHAIN_DEPTH + 1).bit_length()
+    root = _chain_walk(group)
     columns = []
     for _ in q_labels:
-        chain = _random_chain(group, rng)
-        grades = sorted([pool.scaled[i] for i in _indices(rng, len(pool), len(chain))])
-        columns.append(_layer_plan(group, chain)(grades))
+        node = root
+        steps = getrandbits(depth_bits)
+        while steps > MAX_CHAIN_DEPTH:
+            steps = getrandbits(depth_bits)
+        for _ in range(steps):
+            children = node.children
+            if children is None:
+                children = node.grow()
+            m = len(children)
+            if not m:
+                break
+            i = getrandbits(m.bit_length())
+            while i >= m:
+                i = getrandbits(m.bit_length())
+            node = children[i]
+        grades = []
+        for _ in node.chain:
+            i = getrandbits(k)
+            while i >= n:
+                i = getrandbits(k)
+            grades.append(scaled[i])
+        grades.sort()
+        plan = node.plan
+        if plan is None:  # a check that raises leaves it unset
+            plan = node.plan = _layer_plan(group, node.chain)
+        columns.append(plan(grades))
     return QFuzzySubset(group, q_labels, tuple(columns), pool.den)
 
 
@@ -564,17 +607,25 @@ class Claim:
     def draw(self, left, right, q_labels, rng, pool) -> tuple:
         """The trial's inputs, in the order of `inputs`: the subsets drawn in
         that order, then alpha."""
-        make = {
-            "table": random_qfuzzy,
-            "subgroup": random_qfuzzy_subgroup,
-            "mixed": _mixed_subset,
-        }[self.draws]
-        subsets = [
-            make(right if name in ("sigma", "psi") else left, q_labels, rng, pool)
-            for name in self.inputs
-            if name != "alpha"
-        ]
-        alpha = pool[_indices(rng, len(pool))[0]]
+        # the generator is read from the module at each call, so a wrapper
+        # installed there sees it
+        if self.draws == "subgroup":
+            make = random_qfuzzy_subgroup
+        elif self.draws == "table":
+            make = random_qfuzzy
+        else:
+            make = _mixed_subset
+        subsets = []
+        for name in self.inputs:
+            if name != "alpha":
+                group = right if name in ("sigma", "psi") else left
+                subsets.append(make(group, q_labels, rng, pool))
+        n = len(pool)  # alpha's index, drawn as the generators draw theirs
+        k = n.bit_length()
+        i = rng.getrandbits(k)
+        while i >= n:
+            i = rng.getrandbits(k)
+        alpha = pool[i]
         if "alpha" in self.inputs:
             return (*subsets, alpha)
         return tuple([alpha_restrict(subset, alpha) for subset in subsets])
@@ -816,10 +867,16 @@ def _record(claim: Claim, inputs: tuple, f, detail) -> dict:
 def _judge(claim: Claim, inputs: tuple, maps, tally: _Tally):
     """(ok, detail, failing map or None) of one trial whose hypothesis holds,
     stopping at the first failing map; findings go into the tally."""
-    for f in maps if claim.map_kinds else (None,):
-        ok, detail, *finding = claim.conclusion(*(inputs if f is None else (f, *inputs)))
+    conclusion, split = claim.conclusion, claim.split
+    if not claim.map_kinds:
+        ok, detail, *finding = conclusion(*inputs)
         for held, violation in finding:
-            tally.find(held, claim.split is not None and claim.split(f), violation)
+            tally.find(held, False, violation)
+        return (True, None, None) if ok else (False, detail, None)
+    for f in maps:
+        ok, detail, *finding = conclusion(f, *inputs)
+        for held, violation in finding:
+            tally.find(held, split is not None and split(f), violation)
         if not ok:
             return False, detail, f
     return True, None, None
@@ -847,10 +904,11 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
         maps = _enumerated_maps(left, right, claim.map_kinds, config.max_source)
         evaluated = _evaluated_maps(left, right, claim.map_kinds, config.max_source)
         tally = _Tally()
+        draw, hypothesis, pool = claim.draw, claim.hypothesis, config.grade_pool
         for t in range(config.trials):
             rng = _trial_rng(config, prop_id, carrier, t)
-            inputs = claim.draw(left, right, q_labels, rng, config.grade_pool)
-            if claim.hypothesis is not None and not claim.hypothesis(*inputs):
+            inputs = draw(left, right, q_labels, rng, pool)
+            if hypothesis is not None and not hypothesis(*inputs):
                 tally.filtered += 1
                 continue
             ok, detail, f = _judge(claim, inputs, evaluated, tally)

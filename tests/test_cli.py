@@ -275,6 +275,41 @@ def test_cli_output_is_pinned(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[command]
 
 
+def test_audit_q_size_flag_renders_the_two_label_audit(capsys):
+    from qfuzzy import cli
+
+    argv = "audit --props R4.16 --q-size 2 --trials 400".split()
+    assert cli.main(argv) == 0  # R4.16 is recorded: a failure is a finding
+    out = capsys.readouterr().out
+    assert out == render_text(audit({"R4.16"}, AuditConfig(q_size=2, trials=400)))
+    (refuted,) = [line for line in out.splitlines() if line.endswith("refuted")]
+    assert refuted.split()[:2] == ["R4.16", "cyclic2->cyclic2"]
+    assert '"trial": 279' in out
+
+
+@pytest.mark.parametrize("q_size, message", [
+    ("0", "q_size must be from 1 to 32, got 0"),
+    ("-1", "q_size must be from 1 to 32, got -1"),
+    (str(lab.MAX_Q_SIZE + 1), "q_size must be from 1 to 32, got 33"),
+    ("two", "argument --q-size: invalid int value: 'two'"),
+])
+def test_audit_q_size_outside_its_range_is_usage_error(q_size, message, capsys):
+    from qfuzzy import cli
+
+    assert cli.main(["audit", "--props", "P4.2", "--trials", "1", "--q-size", q_size]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"usage error: {message}\n"
+
+
+def test_audit_at_the_q_size_cap_runs(capsys):
+    from qfuzzy import cli
+
+    argv = ["audit", "--props", "P4.2", "--trials", "1", "--catalog", "cyclic2",
+            "--q-size", str(lab.MAX_Q_SIZE)]
+    assert cli.main(argv) == 0
+    assert "verified-sampled" in capsys.readouterr().out
+
+
 def test_search_unknown_id_is_usage_error():
     result = run_cli("search", "R4.3", "P9.9")
     assert result.returncode == 64

@@ -407,6 +407,25 @@ def test_enumerate_maps_yields_ascending_image_arrays_once(source, target, kind)
     assert images and images == sorted(set(images))
 
 
+SMALL_GROUPS = tuple(f"cyclic{n}" for n in range(1, 7)) + ("klein4", "symmetric3")
+
+
+@pytest.mark.parametrize("source", SMALL_GROUPS)
+def test_enumerate_maps_finds_every_map_a_brute_force_finds(source):
+    # every image array, in ascending order, kept where make_map accepts it:
+    # the backtracking's pruning drops none and keeps no other
+    src = standard_group(source)
+    for target in map(standard_group, SMALL_GROUPS):
+        for kind in MAP_KINDS:
+            brute = []
+            for images in itertools.product(range(target.order), repeat=src.order):
+                try:
+                    brute.append(make_map(src, target, images, kind).images)
+                except MapError:
+                    pass
+            assert [m.images for m in enumerate_maps(src, target, kind)] == brute
+
+
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
 def test_opposite_table_reverses_each_product(name):
     g = standard_group(name)

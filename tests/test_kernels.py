@@ -230,15 +230,18 @@ class FractionSubclass(Fraction):
     ids=repr,
 )
 def test_validate_grade_matches_fraction_oracle(value):
+    # alpha_restrict validates its alpha the same way
+    theta = make_qfuzzy(standard_group("cyclic2"), ("q",), [[F(1, 4)], [F(3, 4)]])
     try:
         expected = oracle.validate_grade(value)
     except GradeError as exc:
-        with pytest.raises(GradeError) as raised:
-            validate_grade(value)
-        assert str(raised.value) == str(exc)
+        for validate in (validate_grade, lambda alpha: alpha_restrict(theta, alpha)):
+            with pytest.raises(GradeError) as raised:
+                validate(value)
+            assert str(raised.value) == str(exc)
     else:
-        got = validate_grade(value)
-        assert got == expected and type(got) is Fraction
+        for got in (validate_grade(value), alpha_restrict(theta, value).alpha):
+            assert got == expected and type(got) is Fraction
 
 
 # --- images, level sets, kernels and the lab's claim checks ---------------------

@@ -67,16 +67,35 @@ def test_random_subgroup_generator_is_sound():
             assert check_qfuzzy_subgroup(theta).verdict
 
 
-def test_generator_never_remembers_a_failing_chain(monkeypatch):
+@pytest.fixture
+def fresh_walks():
+    # the per-group chain walks start empty, and a walk built in the test
+    # is not kept for the next one
+    lab._chain_walk.cache_clear()
+    yield
+    lab._chain_walk.cache_clear()
+
+
+def test_generator_never_remembers_a_failing_chain(monkeypatch, fresh_walks):
     group = standard_group("cyclic4")
     pool = AuditConfig().grade_pool
-    # {0, 1} is not a subgroup of cyclic4, so a column graded higher on it fails
-    monkeypatch.setattr(
-        lab, "_random_chain", lambda group, rng: (frozenset(range(4)), frozenset({0, 1}))
-    )
-    for _ in range(2):  # the same draw again: it is checked again, and fails again
+    # {0, 1} is not a subgroup of cyclic4, so a column graded higher on it
+    # fails; a lattice that lists it makes it the only chain below the group
+    monkeypatch.setattr(lab, "all_subgroups", lambda group: (frozenset({0, 1}), frozenset(range(4))))
+    checked = []
+
+    def check(theta):
+        checked.append(theta.columns)
+        return check_qfuzzy_subgroup(theta)
+
+    monkeypatch.setattr(lab, "check_qfuzzy_subgroup", check)
+    labels = tuple(f"q{i}" for i in range(8))
+    for attempt in (1, 2):  # the same draw again: it is checked again, and fails again
         with pytest.raises(lab.GeneratorSoundnessError, match="not a subgroup"):
-            random_qfuzzy_subgroup(group, Q, random.Random("no memo"), pool)
+            random_qfuzzy_subgroup(group, labels, random.Random("no memo"), pool)
+        assert checked.count(((1, 1, 0, 0),)) == attempt
+    (bad,) = lab._chain_walk(group).children
+    assert bad.chain == (frozenset(range(4)), frozenset({0, 1})) and bad.plan is None
 
 
 def depth_table(group, chain):
@@ -85,27 +104,27 @@ def depth_table(group, chain):
     return (tuple(depth),), len(chain)
 
 
-def test_generator_checks_each_chain_once(monkeypatch):
+def test_generator_checks_each_chain_once(monkeypatch, fresh_walks):
     group = standard_group("symmetric3")
     pool = AuditConfig().grade_pool
-    checked, chains = [], []
-    random_chain = lab._random_chain
+    checked = []
 
     def check(theta):
         checked.append(theta)
         return check_qfuzzy_subgroup(theta)
 
-    def chain(group, rng):
-        chains.append(random_chain(group, rng))
-        return chains[-1]
-
     monkeypatch.setattr(lab, "check_qfuzzy_subgroup", check)
-    monkeypatch.setattr(lab, "_random_chain", chain)
-    lab._layer_plan.cache_clear()
     labels = tuple(f"q{i}" for i in range(12))  # symmetric3 has 10 chains
     first = random_qfuzzy_subgroup(group, labels, random.Random("memo"), pool)
     again = random_qfuzzy_subgroup(group, labels, random.Random("memo"), pool)
     assert again == first
+    # the chains of both calls, as the old generator draws them
+    chains = []
+    for _ in range(2):
+        rng = random.Random("memo")
+        for _ in labels:
+            chains.append(tuple(oracle._random_chain(group, rng)))
+            [rng.choice(pool) for _ in chains[-1]]  # the layers' grades
     distinct = list(dict.fromkeys(chains))
     assert len(chains) == 24 and len(distinct) < 12
     assert [(t.columns, t.den) for t in checked] == [depth_table(group, c) for c in distinct]
@@ -113,16 +132,20 @@ def test_generator_checks_each_chain_once(monkeypatch):
 
 def test_layer_plans_are_kept_per_group():
     # {0, 1} is a subgroup of klein4 (e, a), not of cyclic4 (0, 1): the plan
-    # built for klein4 must not pass cyclic4's chain unchecked
+    # built for klein4 must not pass cyclic4's chain unchecked.  The two
+    # groups' walks start from the same chain, and are kept apart
+    klein4, cyclic4 = standard_group("klein4"), standard_group("cyclic4")
     chain = (frozenset(range(4)), frozenset({0, 1}))
-    assert lab._layer_plan(standard_group("klein4"), chain)((0, 1)) == (1, 1, 0, 0)
+    assert lab._layer_plan(klein4, chain)((0, 1)) == (1, 1, 0, 0)
     for _ in range(2):
         with pytest.raises(lab.GeneratorSoundnessError, match="on cyclic4 is not a subgroup"):
-            lab._layer_plan(standard_group("cyclic4"), chain)
+            lab._layer_plan(cyclic4, chain)
+    walks = lab._chain_walk(klein4), lab._chain_walk(cyclic4)
+    assert walks[0].chain == walks[1].chain and walks[0] is not walks[1]
 
 
 def subgroup_chains(group):
-    # every chain `_random_chain` can return: the whole group, then up to
+    # every chain the subgroup generator can draw: the whole group, then up to
     # three strictly smaller subgroups, each inside the one before
     subs = oracle.all_subgroups(group)
     chains, frontier = [], [(frozenset(range(group.order)),)]
@@ -158,12 +181,16 @@ def test_every_column_read_from_a_catalog_chain_is_a_subgroup():
 
 @pytest.mark.parametrize("n", range(1, 21))  # at a power of two, half the draws are redrawn
 def test_index_draw_is_choice_and_randint(n):
-    seq = tuple(range(100, 100 + n))
+    # a table's grades and a trial's alpha are drawn from a pool of n grades
+    # at the index `choice` takes, which `randint(0, n - 1)` gives too
+    pool = GradePool([F(i, 20) for i in range(n)])
+    group = standard_group("cyclic3")
     for seed in range(200):
         drawn, by_choice, by_randint = (random.Random(seed) for _ in range(3))
-        for i in lab._indices(drawn, n, 3):
-            assert seq[i] == by_choice.choice(seq)
-            assert i == by_randint.randint(0, n - 1)
+        theta, sigma, alpha = lab.CLAIMS["P3.3"].draw(group, group, Q, drawn, pool)
+        grades = [row[0] for table in (theta, sigma) for row in table.grades] + [alpha]
+        assert grades == [by_choice.choice(pool) for _ in range(7)]
+        assert grades == [pool[by_randint.randint(0, n - 1)] for _ in range(7)]
         assert drawn.getstate() == by_choice.getstate() == by_randint.getstate()
 
 
