@@ -11,6 +11,14 @@ Conventions shared by every check:
   their row-major order, so the first violation is the same;
 * violation details render as "lhs = p/q < rhs = r/s at (x, y, q)".
 
+On a finite group the closure decides the subgroup test.  Let x have order
+m, so x^-1 = x^(m-1).  Closure gives grade(x^k) >= grade(x) for every k >= 1,
+by induction on k, so grade(x^-1) >= grade(x): the inverse condition holds.
+The anti-closure likewise gives grade(x^-1) <= grade(x), and read at x^-1
+the reverse, so the two grades are equal and the inverse condition holds
+again.  A report's verdict and witness are therefore its (anti-)closure's,
+and the inverse condition is scanned only to render a refuted table.
+
 The scans read each table's integer columns (see `qfuzzy.fuzzy`); a grade
 becomes a `Fraction` only to render a violation.
 """
@@ -91,16 +99,10 @@ def _pair_condition(t, products, anti=False) -> ConditionResult:
 
 
 def _inverse_condition(t) -> ConditionResult:
-    # grade(x^-1, q) >= grade(x, q).  Read at x and at x^-1 it says the two
-    # grades are equal, so a column that holds equals itself read at the
-    # inverses: one comparison passes it, and the loop runs only to find the
-    # first witness
+    # grade(x^-1, q) >= grade(x, q)
     group, inverses, den = t.group, t.group.inverses, t.den
-    at_inverses = group.at_inverses
     for k, q in enumerate(t.q_labels):
         col = t.columns[k]
-        if at_inverses(col) == col:
-            continue
         for x in range(group.order):
             if col[inverses[x]] < col[x]:
                 at = (group.label(x), q)
@@ -110,15 +112,16 @@ def _inverse_condition(t) -> ConditionResult:
     return _HOLDS
 
 
-def _subgroup_report(t) -> CheckReport:
-    # the two conditions; the verdict is that both hold, and the witness is
-    # the first that fails.  The public checks call this, not each other, so
-    # a wrapper around one never sees the other's calls
-    closure, inverse = _pair_condition(t, t.group.table), _inverse_condition(t)
-    failed = inverse if closure.ok else closure
+def _subgroup_report(t, anti=False) -> CheckReport:
+    # the (anti-)closure gives the verdict and the witness; the inverse
+    # condition, which it implies, is scanned only when it fails.  The public
+    # checks call this, not each other, so a wrapper around one never sees
+    # the other's calls
+    closure = _pair_condition(t, t.group.table, anti)
+    inverse = _HOLDS if closure.ok else _inverse_condition(t)
     return CheckReport(
-        closure.ok and inverse.ok, {"closure": closure, "inverse": inverse},
-        failed.witness, failed.detail,
+        closure.ok, {"anti_closure" if anti else "closure": closure, "inverse": inverse},
+        closure.witness, closure.detail,
     )
 
 
@@ -148,13 +151,7 @@ def check_anti_subgroup(phi: QFuzzySubset) -> CheckReport:
     """Reversed inequalities: grade(xy) <= max(grade(x), grade(y)) plus
     inverse-monotonicity.  This is what complements of restricted subgroups
     actually satisfy."""
-    closure = _pair_condition(phi, phi.group.table, anti=True)
-    inverse = _inverse_condition(phi)
-    failed = inverse if closure.ok else closure
-    return CheckReport(
-        closure.ok and inverse.ok, {"anti_closure": closure, "inverse": inverse},
-        failed.witness, failed.detail,
-    )
+    return _subgroup_report(phi, anti=True)
 
 
 def kernel_set(phi: QFuzzySubset) -> dict[str, frozenset[int]]:

@@ -99,11 +99,6 @@ class FiniteGroup:
         # opposite[x][y] = y x, the table an anti-homomorphism respects
         return tuple(zip(*self.table))
 
-    @cached_property
-    def at_inverses(self):
-        """column -> (column[x^-1] for each element x), in one C-level call."""
-        return gather(self.inverses)
-
     def label(self, i: int) -> str:
         return self.elements[i]
 

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import fraction_oracle as oracle
 from fraction_oracle import constant_qfuzzy, indicator
 from qfuzzy.groups import all_subgroups, analyze_subset, standard_group
 from qfuzzy.fuzzy import (
@@ -110,6 +111,52 @@ def test_two_condition_and_quotient_forms_agree_on_random_tables():
             theta = make_qfuzzy(g, Q, rows)
             report = check_alpha_subgroup(alpha_restrict(theta, rng.choice(pool)))
             assert report.forms_agree
+
+
+# every one-label table over THEOREM_POOL on these groups: 1 902 tables
+THEOREM_GROUPS = tuple(f"cyclic{n}" for n in range(1, 7)) + ("klein4", "symmetric3")
+THEOREM_POOL = (F(0), F(1, 2), F(1))
+
+
+def every_table():
+    for name in THEOREM_GROUPS:
+        g = standard_group(name)
+        for column in itertools.product(THEOREM_POOL, repeat=g.order):
+            yield make_qfuzzy(g, Q, [[grade] for grade in column])
+
+
+def test_closure_decides_the_subgroup_checks_on_every_small_table():
+    # the checks scan the inverse condition only where the (anti-)closure
+    # fails; the oracle scans both conditions on every table
+    tables = closed = 0
+    for theta in every_table():
+        tables += 1
+        plain, anti = oracle.check_qfuzzy_subgroup(theta), oracle.check_anti_subgroup(theta)
+        assert check_qfuzzy_subgroup(theta) == plain
+        assert check_anti_subgroup(theta) == anti
+        for alpha in THEOREM_POOL:
+            phi = alpha_restrict(theta, alpha)
+            assert check_alpha_subgroup(phi) == oracle.check_alpha_subgroup(phi)
+        # the theorem: the (anti-)closure implies the inverse condition
+        for report, closure in ((plain, "closure"), (anti, "anti_closure")):
+            if report.conditions[closure].ok:
+                closed += 1
+                assert report.conditions["inverse"].ok and report.verdict
+    assert (tables, closed) == (1902, 170)
+
+
+def test_a_closed_table_is_judged_without_the_inverse_scan(monkeypatch):
+    from qfuzzy import checks
+
+    def scanned(t):
+        raise AssertionError("the inverse condition was scanned on a closed table")
+
+    monkeypatch.setattr(checks, "_inverse_condition", scanned)
+    g = standard_group("cyclic6")
+    theta = indicator(g, Q, {0, 2, 4}, inside=F(1, 2), outside=F(1, 10))
+    assert check_qfuzzy_subgroup(theta).verdict
+    assert check_alpha_subgroup(alpha_restrict(theta, F(2, 5))).verdict
+    assert check_anti_subgroup(complement(theta)).verdict
 
 
 def test_anti_check_on_complements():

@@ -113,6 +113,48 @@ def test_fuzzy_check_example_4_5_fails_base_and_passes_restricted():
     assert "verdict: true" in restricted.stdout
 
 
+# `fuzzy check`'s whole render, byte for byte: a refuted table still prints
+# its inverse line.  The table below fails closure and the inverse condition
+CYCLIC3_BOTH_FAIL = "group: cyclic3\nq_labels: q\ngrades:\n0 q 1\n1 q 1/2\n2 q 0\n"
+CLOSED = "verdict: true\n  closure: holds\n  inverse: holds\n"
+BOTH_FAIL = (
+    "verdict: false\n"
+    "  closure: violated -- lhs = 0 < rhs = 1/2 at (1, 1, q)\n"
+    "  inverse: violated -- lhs = 0 < rhs = 1/2 at (1, q)\n"
+)
+FUZZY_CHECK_RENDERS = (
+    ("example-4.10-pi.fuzzy", (), 0, CLOSED),
+    ("example-4.10-sigma.fuzzy", (), 0, CLOSED),
+    ("example-4.10-theta.fuzzy", (), 0, CLOSED),
+    ("example-4.5-theta.fuzzy", (), 1,
+     "verdict: false\n"
+     "  closure: violated -- lhs = 1/5 < rhs = 2/5 at (a, a, q)\n"
+     "  inverse: holds\n"),
+    ("example-4.5-theta.fuzzy", ("--alpha", "0.09"), 0,
+     CLOSED + "  quotient: holds\n  two-condition and quotient forms agree\n"),
+    (None, (), 1, BOTH_FAIL),
+    (None, ("--alpha", "1/2"), 1,
+     BOTH_FAIL + "  quotient: violated -- lhs = 0 < rhs = 1/2 at (0, 1, q)\n"
+     "  two-condition and quotient forms agree\n"),
+)
+
+
+@pytest.mark.parametrize(
+    "name, options, code, expected", FUZZY_CHECK_RENDERS,
+    ids=[" ".join((name or "cyclic3", *options)) for name, options, *_ in FUZZY_CHECK_RENDERS],
+)
+def test_fuzzy_check_render_is_pinned(name, options, code, expected, tmp_path, capsys):
+    from qfuzzy import cli
+
+    if name is None:
+        path = tmp_path / "cyclic3.fuzzy"
+        path.write_text(CYCLIC3_BOTH_FAIL)
+    else:
+        path = DATA / name
+    assert cli.main(["fuzzy", "check", str(path), *options]) == code
+    assert capsys.readouterr().out == expected
+
+
 def test_fuzzy_check_all_zero_set_passes(tmp_path):
     path = tmp_path / "zero.fuzzy"
     path.write_text("group: cyclic3\nq_labels: q\ngrades:\n0 q 0\n1 q 0\n2 q 0\n")
