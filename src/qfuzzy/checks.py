@@ -186,12 +186,6 @@ def classify_abelian(phi: QFuzzySubset) -> dict[str, AbelianSlice]:
     return out
 
 
-def is_cyclic_subgroup(level) -> bool:
-    """The level test of the cyclic claims: the set is a crisp subgroup, and
-    a cyclic one.  `level` is a `LevelVerdict` or a subset analysis."""
-    return level.is_subgroup and level.is_cyclic
-
-
 @dataclass(frozen=True)
 class LevelVerdict:
     cut: Fraction
@@ -207,7 +201,7 @@ class CyclicSlice:
 
     @property
     def verdict(self) -> bool:
-        return all(map(is_cyclic_subgroup, self.levels))
+        return all(level.is_subgroup and level.is_cyclic for level in self.levels)
 
 
 def classify_cyclic(phi: QFuzzySubset) -> dict[str, CyclicSlice]:

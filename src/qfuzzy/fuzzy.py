@@ -251,10 +251,6 @@ def _at_or_above(column, cut: int) -> frozenset[int]:
     return frozenset([x for x, g in enumerate(column) if g >= cut])
 
 
-def _achieved(column) -> list[int]:
-    return sorted({0, *column})
-
-
 def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : grade(x, q) >= c }."""
     n, d = validate_grade(c).as_integer_ratio()
@@ -267,7 +263,7 @@ def level_sets(phi: QFuzzySubset, k: int) -> list[tuple[int, frozenset[int]]]:
     """(cut, level set) of the k-th column at each of its grades, plus 0,
     ascending; a cut is an integer over `phi.den`, as the column is."""
     column = phi.columns[k]
-    return [(cut, _at_or_above(column, cut)) for cut in _achieved(column)]
+    return [(cut, _at_or_above(column, cut)) for cut in sorted({0, *column})]
 
 
 # --- fuzzy-set file format ---------------------------------------------------

@@ -44,7 +44,6 @@ from .grades import (
 from .groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
-    GroupMap,
     all_subgroups,
     analyze_subset,
     enumerate_maps,
@@ -70,7 +69,6 @@ from .checks import (
     check_anti_subgroup,
     check_qfuzzy_subgroup,
     classify_abelian,
-    is_cyclic_subgroup,
     kernel_set,
 )
 
@@ -475,10 +473,11 @@ def _all_cyclic(phi):
     # column, is a cyclic subgroup: classify_cyclic's verdict, stopping at the
     # first level set that is not
     group = phi.group
-    return all(
-        is_cyclic_subgroup(analyze_subset(group, members))
+    analyses = (
+        analyze_subset(group, members)
         for k in range(len(phi.columns)) for _, members in level_sets(phi, k)
     )
+    return all(a.is_subgroup and a.is_cyclic for a in analyses)
 
 
 def _check_p5_7(f, phi):
@@ -901,8 +900,7 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
         else:
             carrier, names = "->".join(item), item
         left, right = standard_group(names[0]), standard_group(names[1])
-        maps = _enumerated_maps(left, right, claim.map_kinds, config.max_source)
-        evaluated = _evaluated_maps(left, right, claim.map_kinds, config.max_source)
+        maps, evaluated = _claim_maps(left, right, claim.map_kinds, config.max_source)
         tally = _Tally()
         draw, hypothesis, pool = claim.draw, claim.hypothesis, config.grade_pool
         for t in range(config.trials):
@@ -939,26 +937,16 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
 
 
 @lru_cache(maxsize=None)
-def _enumerated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
-    maps = []
-    for kind in kinds:
-        maps.extend(enumerate_maps(left, right, kind, max_source))
-    return tuple(maps)
-
-
-@lru_cache(maxsize=None)
-def _evaluated_maps(left, right, kinds, max_source) -> tuple[GroupMap, ...]:
-    return _first_per_image(_enumerated_maps(left, right, kinds, max_source))
-
-
-def _first_per_image(maps) -> tuple[GroupMap, ...]:
-    # the first map of each image array, in order: a conclusion reads a map
-    # through its images only, so a later map with the same images judges as
-    # that one does
+def _claim_maps(left, right, kinds, max_source):
+    """(every map of the kinds, which the notes count; the first map of each
+    image array, in order, which the trials judge).  A conclusion reads a map
+    through its images only, so a later map with the same images judges as
+    that one does."""
+    maps = tuple(f for kind in kinds for f in enumerate_maps(left, right, kind, max_source))
     first = {}
     for f in maps:
         first.setdefault(f.images, f)
-    return tuple(first.values())
+    return maps, tuple(first.values())
 
 
 def search_counterexample(claim_id: str, config: AuditConfig | None = None):
@@ -983,7 +971,7 @@ def audit(props, config: AuditConfig | None = None) -> list[AuditReport]:
     """Run the audits for the given claim ids, in catalog order."""
     config = config or AuditConfig()
     props = set(props)
-    unknown = props - set(CLAIM_ORDER)
+    unknown = props - CLAIMS.keys()
     if unknown:
         raise ValueError(f"unknown claim ids: {sorted(unknown)}")
     reports = []

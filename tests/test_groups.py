@@ -154,6 +154,48 @@ def test_build_group_decides_associativity_as_the_triple_scan(case):
         assert str(exc.value) == expected
 
 
+def axioms_by_definition(elements, rows):
+    """The inverses of a table, or the message of its first failed axiom,
+    read off the definitions: the first two-sided identity, every triple,
+    then each element's first two-sided inverse."""
+    n = len(rows)
+    two_sided = [e for e in range(n) if all(rows[e][i] == i == rows[i][e] for i in range(n))]
+    if not two_sided:
+        return "no two-sided identity element exists"
+    e = two_sided[0]
+    failure = first_associativity_failure(elements, rows)
+    if failure is not None:
+        return failure
+    inverses = []
+    for i in range(n):
+        found = [j for j in range(n) if rows[i][j] == e == rows[j][i]]
+        if not found:
+            return (
+                f"inverse fails at ({elements[i]}, {elements[e]}): "
+                f"{elements[i]} has no two-sided inverse"
+            )
+        inverses.append(found[0])
+    return tuple(inverses)
+
+
+def test_build_group_matches_the_axioms_on_every_table_of_order_at_most_3():
+    # build_group reads each inverse off its row, as a right inverse in a
+    # finite monoid is two-sided; here every inverse is checked on both sides
+    no_inverse = 0
+    for n in (1, 2, 3):
+        elements = ["x", "y", "z"][:n]
+        for flat in itertools.product(range(n), repeat=n * n):
+            rows = [list(flat[i * n:(i + 1) * n]) for i in range(n)]
+            expected = axioms_by_definition(elements, rows)
+            try:
+                got = build_group("t", elements, rows).inverses
+            except GroupError as exc:
+                got = str(exc)
+            assert got == expected, rows
+            no_inverse += str(expected).startswith("inverse fails")
+    assert no_inverse == 32
+
+
 def test_build_group_rejects_bad_entries():
     with pytest.raises(GroupError, match="closure"):
         build_group("bad", ["e", "a"], [[0, 1], [1, 7]])
@@ -424,6 +466,8 @@ def test_enumerate_maps_finds_every_map_a_brute_force_finds(source):
                 except MapError:
                     pass
             assert [m.images for m in enumerate_maps(src, target, kind)] == brute
+            # the kind equation at (e, e) gives f(e) = f(e) f(e), so f(e) = e
+            assert all(images[src.identity] == target.identity for images in brute)
 
 
 @pytest.mark.parametrize("name", DEFAULT_CATALOG)
