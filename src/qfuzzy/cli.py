@@ -82,7 +82,15 @@ def _build_parser() -> _Parser:
     target = audit_cmd.add_mutually_exclusive_group(required=True)
     target.add_argument("--all", action="store_true", help="audit every claim")
     target.add_argument("--props", nargs="+", help="specific claim ids")
-    _add_audit_flags(audit_cmd)
+    audit_cmd.add_argument("--trials", type=int, default=200)
+    audit_cmd.add_argument("--seed", type=int, default=7)
+    audit_cmd.add_argument(
+        "--q-size", type=int, default=1, help=f"q labels per table, 1 to {MAX_Q_SIZE}"
+    )
+    audit_cmd.add_argument("--catalog", nargs="+", help="group specs to audit over")
+    audit_cmd.add_argument("--pool", nargs="+", help="grade literals for generators")
+    audit_cmd.add_argument("--format", choices=["text", "structured"], default="text")
+    audit_cmd.add_argument("--out", help="write the report to this path")
 
     search = commands.add_parser("search", help="run bounded counterexample searches")
     search.add_argument("claims", nargs="*", help="search ids (default: all)")
@@ -93,18 +101,6 @@ def _build_parser() -> _Parser:
     reproduce.add_argument("example_id", choices=list(EXAMPLES))
 
     return parser
-
-
-def _add_audit_flags(parser):
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument(
-        "--q-size", type=int, default=1, help=f"q labels per table, 1 to {MAX_Q_SIZE}"
-    )
-    parser.add_argument("--catalog", nargs="+", help="group specs to audit over")
-    parser.add_argument("--pool", nargs="+", help="grade literals for generators")
-    parser.add_argument("--format", choices=["text", "structured"], default="text")
-    parser.add_argument("--out", help="write the report to this path")
 
 
 def _config_from_args(args) -> AuditConfig:

@@ -137,12 +137,8 @@ def alpha_restrict(theta: QFuzzySubset, alpha: Fraction) -> QFuzzySubset:
         den = math.lcm(den, b)
         columns = _over(theta, den)
     cap = a * (den // b)
-    capped = []
-    for column in columns:
-        if max(column) > cap:  # a column already under the cap is kept
-            column = tuple([g if g <= cap else cap for g in column])
-        capped.append(column)
-    return QFuzzySubset(theta.group, theta.q_labels, tuple(capped), den, theta, alpha)
+    capped = tuple([tuple([g if g <= cap else cap for g in column]) for column in columns])
+    return QFuzzySubset(theta.group, theta.q_labels, capped, den, theta, alpha)
 
 
 def _require_shared_carrier(a, b) -> None:

@@ -78,6 +78,10 @@ HOMOMORPHISM = "homomorphism"
 ANTI_HOMOMORPHISM = "anti-homomorphism"
 MAP_KINDS = (HOMOMORPHISM, ANTI_HOMOMORPHISM)
 
+# Largest source `enumerate_maps` takes: its backtracking may try every one of
+# the |H|^|G| image arrays, so larger sources are refused up front.
+MAX_SOURCE = 8
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -412,7 +416,7 @@ def enumerate_maps(
     source: FiniteGroup,
     target: FiniteGroup,
     kind: str,
-    max_source: int = 8,
+    max_source: int = MAX_SOURCE,
 ) -> list[GroupMap]:
     """All maps of the given kind, by backtracking over image assignments;
     image arrays come in ascending order."""
@@ -423,7 +427,7 @@ def enumerate_maps(
         )
     n = source.order
     found: list[GroupMap] = []
-    images: list[int | None] = [None] * n
+    images = [0] * n
     # the equation of a pair (i, j) reads the images of i, j and ij, so the
     # assignment at the greatest of the three completes it; every pair an
     # earlier position completed held when that position was assigned
@@ -446,7 +450,6 @@ def enumerate_maps(
             images[k] = candidate
             if consistent(k):
                 extend(k + 1)
-        images[k] = None
 
     extend(0)
     return found
@@ -470,6 +473,9 @@ def closure_of(group: FiniteGroup, subset) -> frozenset[int]:
     return frozenset(_products(group.table, group.identity, generators))
 
 
+# Level sets and kernels of fuzzy subgroups are subgroups (Das 1981), so the
+# audit asks about few distinct subsets: analyse each one once.
+@lru_cache(maxsize=None)
 def _analyze(group: FiniteGroup, subset: frozenset[int]) -> CrispSubsetAnalysis:
     closed = closure_of(group, subset)
     table = group.table
@@ -480,20 +486,12 @@ def _analyze(group: FiniteGroup, subset: frozenset[int]) -> CrispSubsetAnalysis:
     )
 
 
-@lru_cache(maxsize=None)
-def _lattice_analyses(group: FiniteGroup) -> dict[frozenset[int], CrispSubsetAnalysis]:
-    # Level sets and kernels of fuzzy subgroups are subgroups (Das 1981), so
-    # most subsets analysed are lattice members: analyse each one once.
-    return {sub: _analyze(group, sub) for sub in all_subgroups(group)}
-
-
 def analyze_subset(group: FiniteGroup, subset) -> CrispSubsetAnalysis:
     """Subgroup test for a crisp element set, and whether the subgroup it
-    generates is abelian, and cyclic (some <x> is all of it).  A subgroup's
-    analysis is read from a table built once per group the same way.
+    generates is abelian, and cyclic (some <x> is all of it).  Each
+    (group, subset) is analysed once and its analysis kept.
     """
-    subset = frozenset(subset)
-    return _lattice_analyses(group).get(subset) or _analyze(group, subset)
+    return _analyze(group, frozenset(subset))
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import ClassVar
 
 from .grades import (
     GradePool,
@@ -44,6 +45,7 @@ from .grades import (
 from .groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
+    MAX_SOURCE,
     all_subgroups,
     analyze_subset,
     enumerate_maps,
@@ -128,7 +130,7 @@ class AuditConfig:
     grade_pool: tuple[Fraction, ...] = DEFAULT_POOL  # a GradePool once built
     map_pairs: tuple[tuple[str, str], ...] = DEFAULT_MAP_PAIRS
     product_pairs: tuple[tuple[str, str], ...] = DEFAULT_PRODUCT_PAIRS
-    max_source: int = 8
+    max_source: ClassVar[int] = MAX_SOURCE  # enumerate_maps' guard, not a field
 
     def __post_init__(self):
         if self.trials < 1:
@@ -345,9 +347,10 @@ def _decode(name: str, payload):
 #
 # Each judges one evaluation: it takes a claim's named inputs, after the map
 # when the claim quantifies over maps, and returns (ok, violation detail), to
-# which a recorded claim's check appends its finding (held, violation).  The
-# audit runner and replay_failure share these, and the hypotheses are the
-# predicates next to them.
+# which a recorded claim's check appends its finding (held, violation), and
+# P5.10's and P5.11's a third entry: whether the map is one the notes count
+# apart.  The audit runner and replay_failure share these, and the
+# hypotheses are the predicates next to them.
 
 
 def _outcome(report):
@@ -395,14 +398,13 @@ def _check_p4_6(phi):
 
 def _check_p4_7(phi):
     group = phi.group
-    table, inverses = group.table, group.inverses
-    n, den = group.order, phi.den
+    quotients, n, den = group.quotients, group.order, phi.den
     for q, column in zip(phi.q_labels, phi.columns):
         top = column[group.identity]
         for x in range(n):
-            row, gx = table[x], column[x]
+            row, gx = quotients[x], column[x]
             for y in range(n):
-                if column[row[inverses[y]]] == top and gx != column[y]:
+                if column[row[y]] == top and gx != column[y]:
                     return False, (
                         f"lhs = {format_grade(Fraction(gx, den))} != "
                         f"rhs = {format_grade(Fraction(column[y], den))} at "
@@ -497,27 +499,28 @@ def _check_p5_8(f, psi):
 
 
 # P5.10 and P5.11: the level-set inclusion decides, and the cyclicity of the
-# image (preimage) is the finding.  "Each pushed level set lies in the image's
-# level set at every achieved cut" is the statement sigma(f(x)) >= phi(x) at
-# every x and q label, that is phi <= f^-1(sigma): take the cut phi(x) itself
-# (the level-subgroup reading of Das 1981).  Pulled level sets likewise give
-# theta(x) >= psi(f(x)), that is f^-1(psi) <= theta.  Both hold by
-# construction: sigma(f(x)) = min(max over the fiber of f(x), alpha) >= phi(x),
-# and theta(x) = psi(f(x)).
+# image (preimage) is the finding, split on a surjective (injective) map.
+# "Each pushed level set lies in the image's level set at every achieved cut"
+# is the statement sigma(f(x)) >= phi(x) at every x and q label, that is
+# phi <= f^-1(sigma): take the cut phi(x) itself (the level-subgroup reading
+# of Das 1981).  Pulled level sets likewise give theta(x) >= psi(f(x)), that
+# is f^-1(psi) <= theta.  Both hold by construction:
+# sigma(f(x)) = min(max over the fiber of f(x), alpha) >= phi(x), and
+# theta(x) = psi(f(x)).
 
 
 def _check_p5_10(f, phi):
     sigma = _image_alpha(f, phi)
     inclusion = compare("subset", phi, preimage_subset(f, sigma))
     detail = None if inclusion else "pushed level set escapes the image level set"
-    return inclusion, detail, (_all_cyclic(sigma), None)
+    return inclusion, detail, (_all_cyclic(sigma), None, f.is_surjective)
 
 
 def _check_p5_11(f, psi):
     theta = _preimage_alpha(f, psi)
     inclusion = compare("subset", preimage_subset(f, psi), theta)
     detail = None if inclusion else "pulled level set escapes the preimage level set"
-    return inclusion, detail, (_all_cyclic(theta), None)
+    return inclusion, detail, (_all_cyclic(theta), None, f.is_injective)
 
 
 # --- search spaces ---------------------------------------------------------------
@@ -579,7 +582,7 @@ class Claim:
     per image array of the enumerated maps when the claim has map kinds.
     Both take the inputs in the order of `inputs`, the conclusion after the
     map; it returns (ok, detail) and, for a recorded claim, a finding
-    (held, violation) that the notes tally.  A search claim
+    (held, violation[, split]) that the notes tally.  A search claim
     instead takes its inputs from its space, group by group over the
     catalog, and its witness is the first that meets the hypothesis and
     fails the conclusion.  A record holds
@@ -599,7 +602,6 @@ class Claim:
     map_kinds: tuple[str, ...] = ()  # maps from left to right, enumerated
     hypothesis: Callable | None = None  # of the inputs
     conclusion: Callable | None = None  # a _check_*, given the map first
-    split: Callable | None = None  # maps whose findings are also counted apart
     notes: Callable | None = None  # (tally, maps), or the witness of a search
     space: Callable | None = None  # of a search: (group, pool) -> its candidates, lazily
 
@@ -777,15 +779,13 @@ CLAIMS = {
         "anti-homomorphic image preserves cyclic level structure", "recorded",
         "map_pairs", draws="subgroup", inputs=("phi",),
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda phi: _all_cyclic(phi),
-        conclusion=_check_p5_10,
-        split=lambda f: f.is_surjective, notes=_cyclic_note("surjective"),
+        conclusion=_check_p5_10, notes=_cyclic_note("surjective"),
     ),
     "P5.11": Claim(
         "anti-homomorphic preimage preserves cyclic level structure", "recorded",
         "map_pairs", draws="subgroup", inputs=("psi",),
         map_kinds=(ANTI_HOMOMORPHISM,), hypothesis=lambda psi: _all_cyclic(psi),
-        conclusion=_check_p5_11,
-        split=lambda f: f.is_injective, notes=_cyclic_note("injective"),
+        conclusion=_check_p5_11, notes=_cyclic_note("injective"),
     ),
     # a search's conclusion is the statement its remark denies: a witness
     # that fails it settles the remark
@@ -832,7 +832,7 @@ EXPECTED_VERIFIED = frozenset(c for c in CLAIMS if CLAIMS[c].status == "verified
 @dataclass
 class _Tally:
     """Outcomes of one claim's trials on one carrier, with the findings of
-    their evaluations, also counted apart over the claim's split maps."""
+    their evaluations, also counted apart where a finding is split."""
 
     passes: int = 0
     filtered: int = 0
@@ -843,7 +843,7 @@ class _Tally:
     missed_split: int = 0
     first_miss: str | None = None  # the first missed finding's violation
 
-    def find(self, held: bool, split: bool, violation: str | None):
+    def find(self, held: bool, violation: str | None, split: bool = False):
         if held:
             self.held += 1
             self.held_split += split
@@ -866,16 +866,16 @@ def _record(claim: Claim, inputs: tuple, f, detail) -> dict:
 def _judge(claim: Claim, inputs: tuple, maps, tally: _Tally):
     """(ok, detail, failing map or None) of one trial whose hypothesis holds,
     stopping at the first failing map; findings go into the tally."""
-    conclusion, split = claim.conclusion, claim.split
+    conclusion = claim.conclusion
     if not claim.map_kinds:
-        ok, detail, *finding = conclusion(*inputs)
-        for held, violation in finding:
-            tally.find(held, False, violation)
+        ok, detail, *findings = conclusion(*inputs)
+        for finding in findings:
+            tally.find(*finding)
         return (True, None, None) if ok else (False, detail, None)
     for f in maps:
-        ok, detail, *finding = conclusion(f, *inputs)
-        for held, violation in finding:
-            tally.find(held, split is not None and split(f), violation)
+        ok, detail, *findings = conclusion(f, *inputs)
+        for finding in findings:
+            tally.find(*finding)
         if not ok:
             return False, detail, f
     return True, None, None
@@ -900,7 +900,7 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
         else:
             carrier, names = "->".join(item), item
         left, right = standard_group(names[0]), standard_group(names[1])
-        maps, evaluated = _claim_maps(left, right, claim.map_kinds, config.max_source)
+        maps, evaluated = _claim_maps(left, right, claim.map_kinds)
         tally = _Tally()
         draw, hypothesis, pool = claim.draw, claim.hypothesis, config.grade_pool
         for t in range(config.trials):
@@ -937,12 +937,12 @@ def _audit_claim(prop_id: str, config: AuditConfig) -> list[AuditReport]:
 
 
 @lru_cache(maxsize=None)
-def _claim_maps(left, right, kinds, max_source):
+def _claim_maps(left, right, kinds):
     """(every map of the kinds, which the notes count; the first map of each
     image array, in order, which the trials judge).  A conclusion reads a map
     through its images only, so a later map with the same images judges as
     that one does."""
-    maps = tuple(f for kind in kinds for f in enumerate_maps(left, right, kind, max_source))
+    maps = tuple(f for kind in kinds for f in enumerate_maps(left, right, kind))
     first = {}
     for f in maps:
         first.setdefault(f.images, f)

@@ -3,23 +3,22 @@
 The four scans below compare grades as `Fraction`s over every pair, exactly
 as the checks did before they moved to scaled integers and skipped the pairs
 that cannot fail; `check_*` compose them the way `qfuzzy.checks` does, and
-`validate_grade` is the all-`Fraction` grade validation.  `combine` (union or
-intersection) and `compare` work on the `Fraction` view; `compare` also names
-the first failing (element, q label) pair, which `fuzzy.compare` leaves to
-the checks.  The grade helpers
-below are those the kernels used while tables stored `Fraction`s and were
-scaled to integers on every call.  `closure_of` (by saturation),
-`all_subgroups` (closing each known subgroup with one more element) and the
-power loop in `analyze_subset` find subgroups and generators the way
-`qfuzzy.groups` did before it built every subgroup from products of its
-generators.  `pushed_within` and `pulled_within` are P5.10's and P5.11's
-inclusions in their level-set form, over every achieved cut, and
-`_all_cyclic` reads one verdict from the whole `classify_cyclic` report, as
-the lab's checks did before they compared grades pointwise and stopped at
-the first level set that is not a cyclic subgroup.  `compose_with_inversion`
-builds anti-homomorphisms another way than `enumerate_maps` does, and
-`constant_qfuzzy` and `indicator` are table builders the tests share.  Only
-the tests use this module.
+`validate_grade` is the all-`Fraction` grade validation.  `combine` (union
+or intersection) and `compare` work on the `Fraction` view; `compare` also
+names the first failing (element, q label) pair, which `fuzzy.compare`
+leaves to the checks.  `scaled_column` is the grade scaling the kernels used
+while tables stored `Fraction`s and were scaled to integers on every call.
+`closure_of` (by saturation), `all_subgroups` (closing each known subgroup
+with one more element) and the power loop in `analyze_subset` find subgroups
+and generators the way `qfuzzy.groups` did before it built every subgroup
+from products of its generators.  `pushed_within` and `pulled_within` are
+P5.10's and P5.11's inclusions in their level-set form, over every achieved
+cut, and `_all_cyclic` cuts each label's `Fraction` column at every achieved
+grade and decides each level set with this module's `analyze_subset`,
+sharing no code with `qfuzzy.lab`'s integer level sets or its cached
+analyses.  `compose_with_inversion` builds anti-homomorphisms another way
+than `enumerate_maps` does, and `constant_qfuzzy` and `indicator` are table
+builders the tests share.  Only the tests use this module.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from qfuzzy.checks import CheckReport, ConditionResult, classify_cyclic
+from qfuzzy.checks import CheckReport, ConditionResult
 from qfuzzy.fuzzy import (
     CarrierError,
     InvariantError,
@@ -59,36 +58,12 @@ def intersection(a: QFuzzySubset, b: QFuzzySubset) -> QFuzzySubset:
     return combine("intersection", a, b)
 
 
-def grade_le(a: Fraction, b: Fraction) -> bool:
-    """a <= b, by cross-multiplying."""
-    an, ad = a.as_integer_ratio()
-    bn, bd = b.as_integer_ratio()
-    return an * bd <= bn * ad
-
-
-def greatest(values) -> Fraction:
-    """The first of the greatest grades, as `max` would return it."""
-    values = iter(values)
-    best = next(values)
-    bn, bd = best.as_integer_ratio()
-    for g in values:
-        n, d = g.as_integer_ratio()
-        if n * bd > bn * d:
-            best, bn, bd = g, n, d
-    return best
-
-
 def scaled_column(values) -> list[int]:
     """Every grade as an integer over the grades' common denominator: equal
     grades get equal integers, and the integers order as the grades do."""
     ratios = [g.as_integer_ratio() for g in values]
     den = math.lcm(*[d for _, d in ratios])
     return [n * (den // d) for n, d in ratios]
-
-
-def scaled_columns(grades) -> list[list[int]]:
-    """`scaled_column` of each q label of a `grades[element][q_index]` table."""
-    return [scaled_column(col) for col in zip(*grades)]
 
 
 def _violation(lhs: Fraction, rhs: Fraction, at: tuple) -> str:
@@ -232,8 +207,9 @@ def check_anti_subgroup(phi) -> CheckReport:
 # The versions below compare grades as `Fraction`s (or, for `analyze_subset`,
 # close every subset anew by saturation), exactly as `qfuzzy.fuzzy`,
 # `qfuzzy.checks`, `qfuzzy.groups` and the `qfuzzy.lab` claim checks did
-# before they moved to integer comparisons and the cached lattice table.  Each builds its result
-# from a `Fraction` table, so its integer columns come from that table.
+# before they moved to integer comparisons and cached subset analyses.  Each
+# builds its result from a `Fraction` table, so its integer columns come from
+# that table.
 
 
 def restriction_of(theta: QFuzzySubset, alpha: Fraction, rows) -> QFuzzySubset:
@@ -529,12 +505,17 @@ def _positive_at_identity(phi):
 
 
 def _all_cyclic(phi):
-    # the whole per-label report, read for its one verdict: every level set
-    # is a subgroup, and a cyclic one
-    return all(
-        lv.is_subgroup and lv.is_cyclic
-        for slice_ in classify_cyclic(phi).values() for lv in slice_.levels
-    )
+    # every label's level set at each achieved grade, and at 0, is a cyclic
+    # subgroup; the column is read from the `Fraction` view, so a table that
+    # is not a restriction works too
+    for k in range(len(phi.q_labels)):
+        column = [row[k] for row in phi.grades]
+        for cut in sorted({ZERO, *column}):
+            members = frozenset(x for x, g in enumerate(column) if g >= cut)
+            analysis = analyze_subset(phi.group, members)
+            if not (analysis.is_subgroup and analysis.is_cyclic):
+                return False
+    return True
 
 
 def pushed_within(f, phi, sigma) -> bool:

@@ -267,7 +267,7 @@ CUTS = st.sampled_from(POOL + (F(1, 6), F(3, 10), F(2, 3)))
 def mapped(draw, max_labels=2):
     """A map with a table on its source and one on its target, sharing q labels."""
     left, right = (standard_group(g) for g in draw(st.sampled_from(MAP_PAIRS)))
-    maps, _ = lab._claim_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)
+    maps, _ = lab._claim_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM))
     f = draw(st.sampled_from(maps))
     q_labels = tuple(f"q{i}" for i in range(draw(st.integers(1, max_labels))))
     return f, draw(tables(f.source, q_labels)), draw(tables(f.target, q_labels))
@@ -281,7 +281,7 @@ def test_map_plans_read_fibers_and_images():
     order_one = (("cyclic1", "cyclic1"), ("cyclic1", "cyclic2"), ("cyclic2", "cyclic1"))
     for pair in DEFAULT_MAP_PAIRS + order_one:
         source, target = (standard_group(g) for g in pair)
-        for f in lab._claim_maps(source, target, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)[0]:
+        for f in lab._claim_maps(source, target, (HOMOMORPHISM, ANTI_HOMOMORPHISM))[0]:
             assert (f.push is not None) == f.is_injective
             for _ in range(5):
                 column = tuple(rng.randrange(50) for _ in range(source.order))
@@ -418,9 +418,10 @@ def test_map_claim_checks_match_fraction_oracle(case, alpha):
     ok, detail, failing = lab._judge(lab.CLAIMS["P3.4"], (phi, psi), (f,), lab._Tally())
     assert (ok, detail) == oracle._check_p3_4(f, theta, sigma, alpha)
     assert failing is (None if ok else f)
-    inclusion, detail, (cyclic, violation) = lab._check_p5_11(f, psi)
+    inclusion, detail, (cyclic, violation, split) = lab._check_p5_11(f, psi)
     assert (inclusion, cyclic) == oracle._check_p5_11(f, psi)
     assert detail is None and violation is None  # the inclusion always holds
+    assert split == f.is_injective
 
 
 @given(mapped(max_labels=3), grades, grades)
@@ -440,9 +441,10 @@ def test_pointwise_inclusions_match_level_set_inclusions(case, a, b):
 def test_check_p5_10_matches_fraction_oracle(case, alpha):
     f, theta, _ = case
     phi = alpha_restrict(theta, alpha)
-    inclusion, detail, (cyclic, violation) = lab._check_p5_10(f, phi)
+    inclusion, detail, (cyclic, violation, split) = lab._check_p5_10(f, phi)
     assert (inclusion, cyclic) == oracle._check_p5_10(f, phi)
     assert detail is None and violation is None  # the inclusion always holds
+    assert split == f.is_surjective
 
 
 @given(tables(), grades)
@@ -570,7 +572,7 @@ def test_generators_draw_from_any_pool_as_their_old_bodies(kind):
 @given(st.sampled_from(MAP_PAIRS), st.booleans(), grades, st.data())
 def test_check_p3_4_over_first_maps_per_image_matches_every_map(pair, broken, alpha, data):
     left, right = (standard_group(g) for g in pair)
-    maps, distinct = lab._claim_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)
+    maps, distinct = lab._claim_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM))
     assert len({f.images for f in maps}) == len(distinct)
     theta = data.draw(tables(left, ("q",)))
     sigma = data.draw(tables(right, ("q",)))
@@ -602,7 +604,7 @@ def test_check_p3_4_over_first_maps_per_image_matches_every_map(pair, broken, al
 def test_map_pairs_repeat_image_arrays():
     # hom and anti-hom enumerations share arrays, so P3.4 checks fewer maps
     left, right = standard_group("dihedral4"), standard_group("dihedral4")
-    maps, distinct = lab._claim_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM), 8)
+    maps, distinct = lab._claim_maps(left, right, (HOMOMORPHISM, ANTI_HOMOMORPHISM))
     assert (len(maps), len(distinct)) == (72, 44)
     for f in distinct:  # each is the first map with its images
         assert next(g for g in maps if g.images == f.images) is f

@@ -14,6 +14,8 @@ from qfuzzy.grades import GradePool
 from qfuzzy.groups import (
     ANTI_HOMOMORPHISM,
     HOMOMORPHISM,
+    MAX_SOURCE,
+    FeasibilityError,
     enumerate_maps,
     standard_group,
 )
@@ -653,10 +655,18 @@ def test_single_kind_claims_judge_every_enumerated_map():
     for prop_id in single:
         for left, right in config.map_pairs:
             maps, evaluated = lab._claim_maps(
-                standard_group(left), standard_group(right),
-                lab.CLAIMS[prop_id].map_kinds, config.max_source,
+                standard_group(left), standard_group(right), lab.CLAIMS[prop_id].map_kinds,
             )
             assert evaluated == maps
+
+
+def test_audit_refuses_a_map_source_above_the_guard():
+    # the guard is enumerate_maps' default, not a config field; the config
+    # still reads it as `max_source` for the benchmark's cold set-up
+    assert AuditConfig().max_source == MAX_SOURCE == 8
+    config = AuditConfig(map_pairs=(("cyclic9", "cyclic2"),))
+    with pytest.raises(FeasibilityError, match=r"enumerate_maps guard: \|source\| = 9 > 8"):
+        audit({"P5.2"}, config)
 
 
 def zeroed_on(monkeypatch, operation, group_name):

@@ -3,17 +3,22 @@
 Each mutant replaces one operation or check wherever a `qfuzzy` module binds
 it, as perfbench/spans.py's tracer installs its wrappers, so the `Claim`
 records in `lab` and the `fuzzy` and `checks` functions that call it all read
-the mutant, and the whole catalog is audited at 50 trials.  Each row states
-its one outcome: the claims that refute the mutant (exactly those), or that it
-survives, with the reason it is equivalent on the audited domain.
+the mutant, and the whole catalog is audited at 50 trials.  Beside the audit
+run two negative controls, one per classifier: each expects a witness that a
+classifier must find, and a control that finds none refutes the mutant as a
+claim does.  Each row states its one outcome: the claims, then the controls,
+that refute the mutant (exactly those), or that it survives, with the reason
+it is equivalent on the audited domain.
 A refactor or a new conclusion that changes a row, in either direction,
 fails here; the row then moves with a CHANGES.md line that says why.
 """
+import dataclasses
 import sys
 
 import pytest
 
-from qfuzzy import checks, fuzzy, lab
+from fraction_oracle import ONE, constant_qfuzzy
+from qfuzzy import checks, fuzzy, groups, lab
 from qfuzzy.checks import CheckReport
 from qfuzzy.fuzzy import QFuzzySubset
 
@@ -25,6 +30,20 @@ _alpha_restrict = fuzzy.alpha_restrict
 _preimage_subset = fuzzy.preimage_subset
 _level_sets = fuzzy.level_sets
 _classify_abelian = checks.classify_abelian
+_analyze_subset = groups.analyze_subset
+
+# The negative controls, each read through `lab`'s own names.  No claim
+# expects a kernel that is not abelian or a level set that is not cyclic, so
+# without them a classifier that calls everything abelian or cyclic passes.
+# On a constant table the kernel and every level set are the whole group.
+ABELIAN_CONTROL = "a kernel set need not be abelian"
+CYCLIC_CONTROL = "a level set need not be cyclic"
+CONTROLS = (
+    (ABELIAN_CONTROL, constant_qfuzzy(groups.standard_group("symmetric3"), ("q",), ONE),
+     lambda phi: not lab._all_abelian(phi)),
+    (CYCLIC_CONTROL, constant_qfuzzy(groups.standard_group("klein4"), ("q",), ONE),
+     lambda phi: not lab._all_cyclic(phi)),
+)
 
 
 def image_min_over_fiber(f, theta):
@@ -94,6 +113,10 @@ def level_sets_without_least_cut(phi, k):
     return _level_sets(phi, k)[1:]
 
 
+def every_subset_cyclic(group, subset):
+    return dataclasses.replace(_analyze_subset(group, subset), is_cyclic=True)
+
+
 def inverse_condition_only(theta):
     inverse = checks._inverse_condition(theta)
     return CheckReport(inverse.ok, {"inverse": inverse}, inverse.witness, inverse.detail)
@@ -106,8 +129,6 @@ def inverse_condition_only(theta):
 #   mutation of it can make P3.4 fail;
 # - a left-factor intersection: both sides of P3.3 go through it, and P4.8's
 #   theta is itself a subgroup;
-# - an abelian test that passes every kernel: no claim expects a kernel that
-#   is not abelian;
 # - the kernel taken at the greatest grade: a subgroup's identity holds it,
 #   in P4.6's kernel and in P5.7's and P5.8's abelian test alike;
 # - level sets without the least cut: only P5.10's and P5.11's cyclicity
@@ -121,7 +142,7 @@ def inverse_condition_only(theta):
 SURVIVES = ()
 
 # (name, global replaced, mutant, outcome): the claims that refute it, in
-# catalog order
+# catalog order, then the controls
 MATRIX = (
     ("image takes the min over a fiber", "image_subset", image_min_over_fiber, ("P5.7", "P5.10")),
     ("an empty fiber's image grade is the column's top", "image_subset",
@@ -142,7 +163,12 @@ MATRIX = (
     ("intersection returns its left factor", "intersection", left_factor, SURVIVES),
     # only R4.9's search needs a union that differs from its left factor
     ("union returns its left factor", "union", left_factor, ("R4.9",)),
-    ("every kernel is called abelian", "classify_abelian", every_kernel_abelian, SURVIVES),
+    # no claim expects a kernel that is not abelian (or a level set that is
+    # not cyclic): only the negative controls catch these two
+    ("every kernel is called abelian", "classify_abelian", every_kernel_abelian,
+     (ABELIAN_CONTROL,)),
+    ("every subset is called cyclic", "analyze_subset", every_subset_cyclic,
+     (CYCLIC_CONTROL,)),
     ("the kernel is taken at the greatest grade", "kernel_set", kernel_at_greatest_grade,
      SURVIVES),
     ("level sets skip the least cut", "level_sets", level_sets_without_least_cut, SURVIVES),
@@ -154,8 +180,11 @@ MATRIX = (
 
 
 def refuting_claims():
+    # the claims with a failure, in catalog order, then each control that
+    # finds no witness
     reports = lab.audit(set(lab.CLAIM_ORDER), CONFIG)
-    return tuple(dict.fromkeys(r.prop_id for r in reports if r.failures))
+    claims = tuple(dict.fromkeys(r.prop_id for r in reports if r.failures))
+    return claims + tuple(name for name, table, finds in CONTROLS if not finds(table))
 
 
 def test_the_unmutated_audit_refutes_nothing():
