@@ -61,46 +61,55 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command=None) -> _Parser:
+    """The parser for `command`'s arguments, or for every command's when
+    `command` is None. The root registers every command with its help
+    either way, so its help and its invalid-choice message stay whole."""
     parser = _Parser(prog="qfuzzy", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_args(sub)
+    return parser
 
-    group = commands.add_parser("group", help="inspect finite groups")
-    group_sub = group.add_subparsers(dest="subcommand", required=True)
-    group_show = group_sub.add_parser("show", help="print a Cayley table")
-    group_show.add_argument("spec", help="catalog name (e.g. klein4) or file path")
 
-    fuzzy = commands.add_parser("fuzzy", help="check fuzzy-set files")
-    fuzzy_sub = fuzzy.add_subparsers(dest="subcommand", required=True)
-    fuzzy_check = fuzzy_sub.add_parser("check", help="run the subgroup check")
-    fuzzy_check.add_argument("path", help="fuzzy-set file")
-    fuzzy_check.add_argument(
-        "--alpha", help="threshold grade; restricted check when given"
-    )
+def _add_group_args(parser) -> None:
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    show = sub.add_parser("show", help="print a Cayley table")
+    show.add_argument("spec", help="catalog name (e.g. klein4) or file path")
 
-    audit_cmd = commands.add_parser("audit", help="audit many claims")
-    target = audit_cmd.add_mutually_exclusive_group(required=True)
+
+def _add_fuzzy_args(parser) -> None:
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    check = sub.add_parser("check", help="run the subgroup check")
+    check.add_argument("path", help="fuzzy-set file")
+    check.add_argument("--alpha", help="threshold grade; restricted check when given")
+
+
+def _add_audit_args(parser) -> None:
+    target = parser.add_mutually_exclusive_group(required=True)
     target.add_argument("--all", action="store_true", help="audit every claim")
     target.add_argument("--props", nargs="+", help="specific claim ids")
-    audit_cmd.add_argument("--trials", type=int, default=200)
-    audit_cmd.add_argument("--seed", type=int, default=7)
-    audit_cmd.add_argument(
+    parser.add_argument("--trials", type=int, default=200)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument(
         "--q-size", type=int, default=1, help=f"q labels per table, 1 to {MAX_Q_SIZE}"
     )
-    audit_cmd.add_argument("--catalog", nargs="+", help="group specs to audit over")
-    audit_cmd.add_argument("--pool", nargs="+", help="grade literals for generators")
-    audit_cmd.add_argument("--format", choices=["text", "structured"], default="text")
-    audit_cmd.add_argument("--out", help="write the report to this path")
+    parser.add_argument("--catalog", nargs="+", help="group specs to audit over")
+    parser.add_argument("--pool", nargs="+", help="grade literals for generators")
+    parser.add_argument("--format", choices=["text", "structured"], default="text")
+    parser.add_argument("--out", help="write the report to this path")
 
-    search = commands.add_parser("search", help="run bounded counterexample searches")
-    search.add_argument("claims", nargs="*", help="search ids (default: all)")
 
-    examples = commands.add_parser("examples", help="re-run worked examples")
-    examples_sub = examples.add_subparsers(dest="subcommand", required=True)
-    reproduce = examples_sub.add_parser("reproduce", help="reproduce an example")
+def _add_search_args(parser) -> None:
+    parser.add_argument("claims", nargs="*", help="search ids (default: all)")
+
+
+def _add_examples_args(parser) -> None:
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    reproduce = sub.add_parser("reproduce", help="reproduce an example")
     reproduce.add_argument("example_id", choices=list(EXAMPLES))
-
-    return parser
 
 
 def _config_from_args(args) -> AuditConfig:
@@ -190,12 +199,12 @@ def _cmd_fuzzy_check(args) -> int:
             return parse_group_file(_read_file(str(candidate)))
         return standard_group(spec)
 
+    try:  # a bad alpha is a usage error, before any file is read
+        alpha = None if args.alpha is None else parse_grade(args.alpha)
+    except GradeError as exc:
+        raise UsageError(str(exc))
     theta = parse_fuzzy_file(_read_file(args.path), resolve_group=resolve)
-    if args.alpha is not None:
-        try:
-            alpha = parse_grade(args.alpha)
-        except GradeError as exc:
-            raise UsageError(str(exc))
+    if alpha is not None:
         report = check_alpha_subgroup(alpha_restrict(theta, alpha))
     else:
         report = check_qfuzzy_subgroup(theta)
@@ -251,20 +260,28 @@ def _cmd_examples_reproduce(args) -> int:
     return EXIT_OK
 
 
+# every command, declared once, in the order the root's help lists them:
+# name -> (help, the function that adds its arguments, handler)
 _COMMANDS = {
-    "group": _cmd_group_show,
-    "fuzzy": _cmd_fuzzy_check,
-    "audit": _cmd_audit,
-    "search": _cmd_search,
-    "examples": _cmd_examples_reproduce,
+    "group": ("inspect finite groups", _add_group_args, _cmd_group_show),
+    "fuzzy": ("check fuzzy-set files", _add_fuzzy_args, _cmd_fuzzy_check),
+    "audit": ("audit many claims", _add_audit_args, _cmd_audit),
+    "search": ("run bounded counterexample searches", _add_search_args, _cmd_search),
+    "examples": ("re-run worked examples", _add_examples_args, _cmd_examples_reproduce),
 }
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named command's arguments are built; -h, an empty argv or an
+    # unknown command builds them all
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser(command)
     try:
         args = parser.parse_args(argv)
-        code = _COMMANDS[args.command](args)
+        _, _, run = _COMMANDS[args.command]
+        code = run(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
         return code
     except BrokenPipeError:

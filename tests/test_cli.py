@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import resource
@@ -245,6 +247,22 @@ def test_fuzzy_check_repeated_q_label_exits_65(tmp_path):
     result = run_cli("fuzzy", "check", str(path))
     assert result.returncode == 65 and result.stdout == ""
     assert "duplicate q label 'q' (line 2, field 'q_labels')" in result.stderr
+
+
+def test_fuzzy_check_bad_alpha_is_usage_error_before_any_file_is_read(monkeypatch, capsys):
+    from qfuzzy import cli
+
+    message = "usage error: bad grade literal 'bogus': Invalid literal for Fraction: 'bogus'\n"
+    assert cli.main(["fuzzy", "check", "/nonexistent.fuzzy", "--alpha", "bogus"]) == 64
+    assert capsys.readouterr().err == message
+
+    def no_parse(*args, **kwargs):
+        raise AssertionError("the file was parsed before --alpha was checked")
+
+    monkeypatch.setattr(cli, "parse_fuzzy_file", no_parse)
+    path = str(DATA / "example-4.5-theta.fuzzy")
+    assert cli.main(["fuzzy", "check", path, "--alpha", "bogus"]) == 64
+    assert capsys.readouterr().err == message
 
 
 def test_check_single_claim():
@@ -542,3 +560,115 @@ def test_structured_render_matches_the_deep_copy_rendering(monkeypatch):
     ) + "\n"
     assert render_structured(reports) == deep
     assert parse_structured(deep) == reports
+
+
+# every argv this file runs, as `main` parses it (paths stand in for files
+# that parsing never reads), and the usage errors argparse itself raises
+PARSER_ARGVS = (
+    "group show klein4",
+    "group show monster",
+    "fuzzy check x.fuzzy",
+    "fuzzy check x.fuzzy --alpha 0.09",
+    "fuzzy check x.fuzzy --alpha 1/2",
+    "fuzzy check /nonexistent.fuzzy --alpha bogus",
+    "audit --props P4.6 --catalog cyclic1_2 --trials 1",
+    "audit --props P4.2 --trials 5 --catalog cyclic2",
+    "audit --props P4.2 --catalog cyclic5000 --trials 1",
+    "audit --props P9.9",
+    "audit --all --trials 20 --format structured",
+    "audit --props R4.16 --q-size 2 --trials 400",
+    "audit --props P4.2 --trials 1 --q-size 0",
+    "audit --props P4.2 --trials 1 --q-size -1",
+    "audit --props P4.2 --trials 1 --q-size 33",
+    "audit --props P4.2 --trials 1 --q-size two",
+    "audit --props P4.2 --trials 1 --catalog cyclic2 --q-size 32",
+    "audit --trials 5",
+    "audit --props P4.2 --trials 2 --catalog cyclic2 --pool 0 1.5",
+    "audit --props P4.2 --trials 2 --catalog cyclic2 --out x.json",
+    "audit --all --out x.json",
+    "audit --props P4.2 P4.11 --trials 5 --catalog cyclic2 cyclic4 --format structured"
+    " --out x.json",
+    "audit --props P3.3 P4.12 --trials 10 --catalog cyclic2 symmetric3 --format structured",
+    "search",
+    "search R4.3",
+    "search R4.3 P9.9",
+    "examples reproduce 4.5",
+    "examples reproduce 4.10",
+    "check --prop P4.2",
+    # usage errors
+    "fuzzy check",
+    "fuzzy check x.fuzzy --beta 1",
+    "audit --all --format xml",
+    "audit --all --props P4.2",
+    "examples reproduce 9.9",
+    "group",
+)
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_a_one_command_parser_parses_like_the_full_parser(argv):
+    from qfuzzy import cli
+
+    argv = argv.split()
+    one = _parsed(cli._build_parser(argv[0]), argv)
+    assert one == _parsed(cli._build_parser(None), argv)
+    assert isinstance(one, dict) or one[0] is cli.UsageError
+
+
+def _help(parser, path):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as exit_:
+        parser.parse_args([*path, "--help"])
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
+COMMAND_HELP = {
+    "group": "inspect finite groups",
+    "fuzzy": "check fuzzy-set files",
+    "audit": "audit many claims",
+    "search": "run bounded counterexample searches",
+    "examples": "re-run worked examples",
+}
+
+
+HELP_PATHS = (
+    (), ("group",), ("group", "show"), ("fuzzy",), ("fuzzy", "check"), ("audit",),
+    ("search",), ("examples",), ("examples", "reproduce"),
+)
+
+
+@pytest.mark.parametrize("path", HELP_PATHS, ids=lambda path: " ".join(path) or "root")
+def test_a_one_command_parser_prints_the_full_parsers_help(path, monkeypatch):
+    from qfuzzy import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _help(cli._build_parser(None), path)
+    for command in ([path[0]] if path else COMMAND_HELP):
+        assert _help(cli._build_parser(command), path) == full
+
+
+def test_the_root_always_knows_every_command(monkeypatch, capsys):
+    from qfuzzy import cli
+
+    assert cli.main(["nosuch"]) == 64
+    err = capsys.readouterr().err
+    assert "invalid choice: 'nosuch'" in err
+    choices = err.partition("choose from")[2]  # quoted or not, by Python version
+    assert all(name in choices for name in COMMAND_HELP)
+    assert cli.main([]) == 64
+    required = "usage error: the following arguments are required: command\n"
+    assert capsys.readouterr().err == required
+    monkeypatch.setenv("COLUMNS", "80")
+    for command in COMMAND_HELP:
+        lines = _help(cli._build_parser(command), ()).splitlines()
+        for name, help_text in COMMAND_HELP.items():
+            assert any(line.split() == [name, *help_text.split()] for line in lines)
+
