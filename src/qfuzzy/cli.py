@@ -154,12 +154,6 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
-def _render(reports, fmt: str) -> str:
-    if fmt == "structured":
-        return render_structured(reports)
-    return render_text(reports)
-
-
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -220,7 +214,8 @@ def _cmd_audit(args) -> int:
         reports = audit(CLAIM_ORDER if args.all else args.props, config)
     except ValueError as exc:
         raise UsageError(str(exc))
-    _emit(_render(reports, args.format), args.out)
+    render = render_structured if args.format == "structured" else render_text
+    _emit(render(reports), args.out)
     expected_failures = [
         r for r in reports if r.prop_id in EXPECTED_VERIFIED and r.failures
     ]
@@ -256,7 +251,7 @@ def _cmd_examples_reproduce(args) -> int:
     except ReproductionError as exc:
         sys.stderr.write(f"reproduction diverged: {exc}\n")
         return EXIT_AUDIT_FAILED
-    sys.stdout.write(_render([report], "text"))
+    sys.stdout.write(render_text([report]))
     return EXIT_OK
 
 

@@ -93,12 +93,6 @@ class QFuzzySubset:
     def grade(self, x: int, k: int) -> Fraction:
         return Fraction(self.columns[k][x], self.den)
 
-    def q_index(self, label: str) -> int:
-        try:
-            return self.q_labels.index(label)
-        except ValueError:
-            raise CarrierError(f"unknown q label {label!r}") from None
-
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
@@ -250,7 +244,9 @@ def _at_or_above(column, cut: int) -> frozenset[int]:
 def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : grade(x, q) >= c }."""
     n, d = validate_grade(c).as_integer_ratio()
-    k = phi.q_index(q_label)
+    if q_label not in phi.q_labels:
+        raise CarrierError(f"unknown q label {q_label!r}")
+    k = phi.q_labels.index(q_label)
     # g / den >= n / d iff g >= ceil(n * den / d), g being an integer
     return _at_or_above(phi.columns[k], -(-n * phi.den // d))
 
@@ -279,16 +275,18 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
         raise FileFormatError("missing group reference", field="group")
     group = resolve_group(header["group"][0])
     labels, lineno = header.get("q_labels", ("", None))
-    q_labels = labels.split()
+    q_labels = tuple(labels.split())
     if not q_labels:
         raise FileFormatError("missing q labels", field="q_labels")
-    for q in q_labels:
-        if q_labels.count(q) > 1:
-            raise FileFormatError(f"duplicate q label {q!r}", line=lineno, field="q_labels")
+    column = {q: k for k, q in enumerate(q_labels)}  # a repeated label keeps its last k
+    if len(column) < len(q_labels):  # name the first that repeats: its k is not its last
+        q = next(q for k, q in enumerate(q_labels) if column[q] != k)
+        raise FileFormatError(f"duplicate q label {q!r}", line=lineno, field="q_labels")
     # the carrier is known before the body, so a row naming something outside
     # it is refused at its line
-    elements = set(group.elements)
-    entries: dict[tuple[str, str], Fraction] = {}
+    row = {elem: x for x, elem in enumerate(group.elements)}
+    width = len(q_labels)
+    table: dict[int, Fraction] = {}  # cell x * width + k -> grade, one per grade line
     parsed: dict[str, Fraction] = {}  # each distinct literal, parsed and validated once
     for lineno, line in body:
         parts = line.split()
@@ -298,7 +296,7 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
                 line=lineno, field="grades",
             )
         elem, q, literal = parts
-        if elem not in elements or q not in q_labels:
+        if elem not in row or q not in column:
             raise FileFormatError(
                 f"grade for unknown pair ({elem}, {q})", line=lineno, field="grades"
             )
@@ -308,22 +306,18 @@ def parse_fuzzy_file(text: str, resolve_group=standard_group) -> QFuzzySubset:
                 value = parsed[literal] = parse_grade(literal)
             except GradeError as exc:
                 raise FileFormatError(str(exc), line=lineno, field="grades") from None
-        if (elem, q) in entries:
+        cell = row[elem] * width + column[q]
+        if cell in table:
             raise FileFormatError(
                 f"duplicate grade for ({elem}, {q})", line=lineno, field="grades"
             )
-        entries[(elem, q)] = value
-    rows = []
-    for elem in group.elements:
-        row = []
-        for q in q_labels:
-            if (elem, q) not in entries:
-                raise FileFormatError(
-                    f"missing grade for ({elem}, {q})", field="grades"
-                )
-            row.append(entries[(elem, q)])
-        rows.append(row)
+        table[cell] = value
+    cells = group.order * width
+    if len(table) < cells:
+        cell = next(i for i in range(cells) if i not in table)  # the first, row-major
+        elem, q = group.elements[cell // width], q_labels[cell % width]
+        raise FileFormatError(f"missing grade for ({elem}, {q})", field="grades")
     # the rows span the group's elements and the q labels, which are distinct,
     # and every grade is validated: the table needs no second check
-    return QFuzzySubset.from_grades(group, tuple(q_labels), rows)
-
+    rows = [[table[x * width + k] for k in range(width)] for x in range(group.order)]
+    return QFuzzySubset.from_grades(group, q_labels, rows)

@@ -62,11 +62,16 @@ class GradePool(tuple):
 
 
 def parse_grade(text: str) -> Fraction:
-    """Parse a decimal ("0.4") or rational ("2/5") grade literal exactly."""
-    if "_" in text or not text.isascii():  # `Fraction` parses these on some Pythons only
-        raise GradeError(f"bad grade literal {text!r}: '_' and non-ASCII characters are refused")
+    """Parse a decimal ("0.4") or rational ("2/5") literal of ASCII digits exactly;
+    `Fraction` would also read signs, exponents, bare dots, spaces and '_'."""
+    head, sep, tail = text.partition("/" if "/" in text else ".")
+    if not (text.isascii() and head.isdigit() and (tail.isdigit() or not sep)):
+        why = f"Invalid literal for Fraction: {text!r}"
+        if "_" in text or not text.isascii():
+            why = "'_' and non-ASCII characters are refused"
+        raise GradeError(f"bad grade literal {text!r}: {why}")
     try:
-        value = Fraction(text.strip())
+        value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise GradeError(f"bad grade literal {text!r}: {exc}") from None
     return validate_grade(value)

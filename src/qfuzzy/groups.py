@@ -31,7 +31,7 @@ set of its elements' products (`closure_of`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from operator import itemgetter, xor
 
 
@@ -301,13 +301,17 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 
 @lru_cache(maxsize=None)
 def standard_group(spec: str) -> FiniteGroup:
-    """Build a catalog group by its canonical name, read verbatim; 'AxB'
-    builds a direct product.  The group's name is the spec."""
-    if "x" in spec:
-        if "" in spec.split("x"):  # a product with an empty side
+    """Build a catalog group by its canonical name, read verbatim; 'AxBxC'
+    builds A x (B x C), of names without an 'x'.  The group's name is the spec."""
+    factors = spec.split("x")
+    if len(factors) > 1:
+        if "" in factors:  # a product with an empty side
             raise GroupError(f"unknown group spec {spec!r}")
-        left, _, right = spec.partition("x")
-        return direct_product(standard_group(left), standard_group(right))
+        cap = MAX_ORDER.bit_length() - 1  # cap + 1 nontrivial factors are above MAX_ORDER
+        if len(factors) > cap:
+            raise GroupError(f"group spec has {len(factors)} factors, above the cap of {cap}")
+        groups = [standard_group(factor) for factor in factors]  # the leftmost bad one is named
+        return reduce(lambda right, left: direct_product(left, right), reversed(groups))
     if spec.startswith("cyclic"):
         digits = spec[len("cyclic"):]
         try:

@@ -335,7 +335,7 @@ def image_subset(f: GroupMap, theta: QFuzzySubset) -> QFuzzySubset:
 def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
     """{ x : restricted grade(x, q) >= c }."""
     c = validate_grade(c)
-    k = phi.base.q_index(q_label)
+    k = phi.q_labels.index(q_label)
     return frozenset(
         x for x in range(phi.group.order) if phi.grades[x][k] >= c
     )
@@ -343,7 +343,7 @@ def level_set(phi: QFuzzySubset, c: Fraction, q_label: str) -> frozenset[int]:
 
 def achieved_grades(phi: QFuzzySubset, q_label: str) -> tuple[Fraction, ...]:
     """Distinct restricted grades for one q label, plus 0, ascending."""
-    k = phi.base.q_index(q_label)
+    k = phi.q_labels.index(q_label)
     values = {phi.grades[x][k] for x in range(phi.group.order)}
     values.add(ZERO)
     return tuple(sorted(values))

@@ -249,6 +249,39 @@ def test_fuzzy_check_repeated_q_label_exits_65(tmp_path):
     assert "duplicate q label 'q' (line 2, field 'q_labels')" in result.stderr
 
 
+def test_a_grade_outside_the_grammar_exits_with_its_contract_code(tmp_path):
+    # 1e5000 once reached `str()` of a 5 001-digit integer and crashed with
+    # a traceback; now an exponent is refused as a literal
+    path = tmp_path / "huge.fuzzy"
+    path.write_text("group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n1 q 1e5000\n")
+    result = run_cli("fuzzy", "check", str(path))
+    assert result.returncode == 65 and result.stdout == ""
+    assert result.stderr.startswith("input error: bad grade literal '1e5000'")
+    assert "(line 5, field 'grades')" in result.stderr and "Traceback" not in result.stderr
+    for alpha in ("1e-5000", "1e5000"):
+        result = run_cli("fuzzy", "check", str(DATA / "example-4.5-theta.fuzzy"), "--alpha", alpha)
+        assert result.returncode == 64 and result.stdout == ""
+        assert result.stderr.startswith(f"usage error: bad grade literal '{alpha}'")
+        assert "Traceback" not in result.stderr
+    result = run_cli("audit", "--props", "P4.2", "--pool", "0", "1e5000", "--trials", "1")
+    assert result.returncode == 64
+    assert result.stderr.startswith("usage error: bad grade literal '1e5000'")
+
+
+def test_a_product_spec_of_too_many_factors_exits_with_its_contract_code(tmp_path):
+    # 1 500 factors once overflowed the stack of the recursive build
+    for spec in ("x".join(["cyclic2"] * 9), "x".join(["cyclic1"] * 1500)):
+        n = spec.count("x") + 1
+        result = run_cli("group", "show", spec)
+        assert result.returncode == 64 and result.stdout == ""
+        assert result.stderr == f"usage error: group spec has {n} factors, above the cap of 8\n"
+        path = tmp_path / "product.fuzzy"
+        path.write_text(f"group: {spec}\nq_labels: q\ngrades:\n")
+        result = run_cli("fuzzy", "check", str(path))
+        assert result.returncode == 65 and result.stdout == ""
+        assert result.stderr.startswith("input error: ") and "Traceback" not in result.stderr
+
+
 def test_fuzzy_check_bad_alpha_is_usage_error_before_any_file_is_read(monkeypatch, capsys):
     from qfuzzy import cli
 

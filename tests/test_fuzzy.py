@@ -1,6 +1,11 @@
+import ast
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fraction_oracle import achieved_grades, constant_qfuzzy
 from qfuzzy import fuzzy
@@ -47,6 +52,52 @@ def test_parse_grade_exact():
     for literal in ("1_0/2_0", "0.5_0", "\u0661/\u0662"):
         with pytest.raises(GradeError, match="non-ASCII"):
             parse_grade(literal)
+
+
+@pytest.mark.parametrize(
+    "literal", ["1e-5000", "1e5000", "5e-1", "+0.5", ".5", "5.", " 0.5", "1/2/3", "0.5/1"]
+)
+def test_parse_grade_refuses_what_the_grammar_does_not_name(literal):
+    # only ASCII digits, as a decimal or a ratio: `Fraction` reads the first
+    # six, and 1e-5000 alone would build a 16 610-bit denominator
+    with pytest.raises(GradeError, match="^bad grade literal"):
+        parse_grade(literal)
+
+
+def test_parse_grade_refuses_an_exponent_before_fraction_reads_it(monkeypatch):
+    from qfuzzy import grades
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction read a literal the grammar refuses")
+
+    monkeypatch.setattr(grades, "Fraction", no_fraction)
+    with pytest.raises(GradeError):
+        parse_grade("1e-1000000")
+
+
+@given(st.fractions(min_value=0, max_value=1))
+def test_a_formatted_grade_parses_back(g):
+    assert parse_grade(format_grade(g)) == g
+
+
+def test_every_shipped_literal_parses():
+    # the data files' grades and the benchmark corpus's pool
+    root = Path(__file__).resolve().parents[1]
+    literals = {
+        line.split()[2]
+        for path in (root / "data").glob("*.fuzzy")
+        for line in path.read_text().split("grades:")[1].splitlines()
+        if line.strip() and not line.startswith("#")
+    }
+    corpus = ast.parse((root / "perfbench" / "corpus.py").read_text())
+    pool = next(
+        node.value for node in corpus.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "POOL"
+    )
+    literals |= set(ast.literal_eval(pool))
+    assert {"0.09", "1/5"} <= literals
+    for literal in literals:
+        assert 0 <= parse_grade(literal) <= 1
 
 
 def test_grade_rendering():
@@ -300,10 +351,35 @@ def test_fuzzy_file_parses_each_literal_once():
      "grade for unknown pair (2, q) (line 5, field 'grades')"),
     ("group: cyclic2\nq_labels: q\ngrades:\n0 q 1\n1 r 1/2\n",
      "grade for unknown pair (1, r) (line 5, field 'grades')"),
-], ids=["q-label", "group", "q_labels", "grades-line", "element", "label"])
+    # the first label, in order, that occurs twice is named
+    ("group: cyclic2\nq_labels: a b b a\ngrades:\n0 a 1\n1 a 0\n",
+     "duplicate q label 'a' (line 2, field 'q_labels')"),
+    ("group: cyclic2\nq_labels: a b c c b\ngrades:\n0 a 1\n1 a 0\n",
+     "duplicate q label 'b' (line 2, field 'q_labels')"),
+], ids=["q-label", "group", "q_labels", "grades-line", "element", "label", "abba", "abccb"])
 def test_fuzzy_file_header_errors_are_named_with_their_line(text, message):
     from qfuzzy.groups import FileFormatError
 
     with pytest.raises(FileFormatError) as info:
         parse_fuzzy_file(text)
     assert str(info.value) == message
+
+
+def test_a_wide_q_label_header_is_read_in_linear_time():
+    # a label count and a label scan per grade line made this quadratic:
+    # 20 000 labels took 5.4 s and 80 000 took 104 s
+    from qfuzzy.groups import FileFormatError
+
+    labels = " ".join(f"q{i}" for i in range(50_000))
+    start = time.perf_counter()
+    with pytest.raises(FileFormatError) as info:
+        parse_fuzzy_file(f"group: cyclic2\nq_labels: {labels}\ngrades:\n")
+    assert time.perf_counter() - start < 5
+    assert str(info.value) == "missing grade for (0, q0) (field 'grades')"
+    # a full body is read in one pass too, and the missing grade named is the
+    # first in (element, label) order
+    body = "".join(f"{x} q{k} 1\n" for x in "01" for k in range(50_000) if (x, k) != ("1", 7))
+    with pytest.raises(FileFormatError, match=r"^missing grade for \(1, q7\)"):
+        parse_fuzzy_file(f"group: cyclic2\nq_labels: {labels}\ngrades:\n{body}")
+    assert time.perf_counter() - start < 5
+

@@ -282,6 +282,31 @@ def test_unknown_spec_rejected():
             standard_group(spec)
 
 
+def test_a_product_spec_is_folded_from_the_right():
+    c2 = standard_group("cyclic2")
+    by_hand = c2
+    for _ in range(7):
+        by_hand = direct_product(c2, by_hand)
+    g = standard_group("x".join(["cyclic2"] * 8))
+    assert g.order == 256 == MAX_ORDER
+    assert (g.name, g.elements, g.table) == (by_hand.name, by_hand.elements, by_hand.table)
+    c3, klein = standard_group("cyclic3"), standard_group("klein4")
+    assert standard_group("cyclic3xklein4xcyclic2") is direct_product(c3, direct_product(klein, c2))
+
+
+def test_a_product_spec_of_more_than_eight_factors_is_refused_before_any_is_built(monkeypatch):
+    # 2^9 > MAX_ORDER: nine nontrivial factors are above the cap.  Before
+    # the fold, 1 500 factors overflowed the stack of the recursive build.
+    factors = []
+    build = groups.standard_group
+    monkeypatch.setattr(groups, "standard_group", lambda spec: factors.append(spec) or build(spec))
+    for n in (9, 1500):
+        spec = "x".join(["cyclic1"] * n)
+        with pytest.raises(GroupError, match=f"^group spec has {n} factors, above the cap of 8$"):
+            build(spec)
+    assert factors == []
+
+
 def test_cyclic_order_is_read_in_canonical_decimal_only():
     # int() reads each of these as an order (12, 3, 3, 3); none names a group
     for spec in (
