@@ -62,15 +62,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser(command=None) -> _Parser:
-    """The parser for `command`'s arguments, or for every command's when
-    `command` is None. The root registers every command with its help
-    either way, so its help and its invalid-choice message stay whole."""
+    """The root with `command` alone under it, or with every command when
+    `command` is None. Only the full root prints the root's help or names
+    the choices of an invalid command, and `main` builds it whenever argv
+    does not start with a command."""
     parser = _Parser(prog="qfuzzy", description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, _) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=help_text)
-        if command is None or command == name:
-            add_args(sub)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(commands.add_parser(name, help=help_text))
     return parser
 
 
@@ -187,8 +187,10 @@ def _cmd_fuzzy_check(args) -> int:
         candidate = base_dir / spec
         try:
             is_file = candidate.is_file()
-        except OSError as exc:  # e.g. a name too long to look up
-            raise FileFormatError(f"cannot read {candidate}: {exc.strerror}")
+        except OSError as exc:
+            if exc.errno != errno.ENAMETOOLONG:
+                raise FileFormatError(f"cannot read {candidate}: {exc.strerror}")
+            is_file = False  # too long to be a file name: a catalog spec
         if is_file:
             return parse_group_file(_read_file(str(candidate)))
         return standard_group(spec)
@@ -269,8 +271,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # only the named command's arguments are built; -h, an empty argv or an
-    # unknown command builds them all
+    # only the named command is built under the root; -h, an empty argv or
+    # an unknown command builds them all
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     parser = _build_parser(command)
     try:

@@ -66,7 +66,7 @@ def parse_grade(text: str) -> Fraction:
     `Fraction` would also read signs, exponents, bare dots, spaces and '_'."""
     head, sep, tail = text.partition("/" if "/" in text else ".")
     if not (text.isascii() and head.isdigit() and (tail.isdigit() or not sep)):
-        why = f"Invalid literal for Fraction: {text!r}"
+        why = "expected a decimal such as 0.4 or a ratio such as 2/5, in ASCII digits"
         if "_" in text or not text.isascii():
             why = "'_' and non-ASCII characters are refused"
         raise GradeError(f"bad grade literal {text!r}: {why}")

@@ -120,6 +120,13 @@ DEFAULT_PRODUCT_PAIRS = (
 # any label is built.
 MAX_Q_SIZE = 32
 
+# Most grades a pool takes, duplicates included.  R4.9's search walks pairs
+# of two-level tables built from the pool, and its work grows about as the
+# cube of the pool's size (on a 2-vCPU Xeon, 13 grades took 1.4 s, 21 took
+# 7.2 s and 51 ran past two minutes).  The cap bounds that before any table
+# is built, and leaves twice the default pool's 8 grades.
+MAX_POOL_SIZE = 16
+
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -137,8 +144,10 @@ class AuditConfig:
             raise ValueError("trials must be >= 1")
         if not 1 <= self.q_size <= MAX_Q_SIZE:
             raise ValueError(f"q_size must be from 1 to {MAX_Q_SIZE}, got {self.q_size}")
-        if not self.grade_pool:
-            raise ValueError("grade pool must be nonempty")
+        if not 1 <= len(self.grade_pool) <= MAX_POOL_SIZE:
+            raise ValueError(
+                f"grade pool must have 1 to {MAX_POOL_SIZE} grades, got {len(self.grade_pool)}"
+            )
         pool = GradePool(sorted(validate_grade(g) for g in self.grade_pool))
         object.__setattr__(self, "grade_pool", pool)
         object.__setattr__(self, "catalog", tuple(self.catalog))

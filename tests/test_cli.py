@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -282,10 +284,50 @@ def test_a_product_spec_of_too_many_factors_exits_with_its_contract_code(tmp_pat
         assert result.stderr.startswith("input error: ") and "Traceback" not in result.stderr
 
 
+def test_a_group_reference_too_long_for_a_file_name_is_read_as_a_spec(tmp_path, monkeypatch, capsys):
+    from qfuzzy import cli
+
+    path = tmp_path / "long.fuzzy"
+    for spec, message in (
+        ("x".join(["cyclic1"] * 1500), "group spec has 1500 factors, above the cap of 8"),
+        ("g" * 300, f"unknown group spec {'g' * 300!r}"),
+    ):
+        path.write_text(f"group: {spec}\nq_labels: q\ngrades:\n")
+        assert cli.main(["fuzzy", "check", str(path)]) == 65
+        assert capsys.readouterr() == ("", f"input error: {message}\n")
+
+    # any other error looking the name up still says the file cannot be read
+    def denied(self):
+        raise PermissionError(errno.EACCES, "Permission denied")
+
+    path.write_text("group: cyclic2\nq_labels: q\ngrades:\n")
+    monkeypatch.setattr(Path, "is_file", denied)
+    assert cli.main(["fuzzy", "check", str(path)]) == 65
+    err = f"input error: cannot read {tmp_path / 'cyclic2'}: Permission denied\n"
+    assert capsys.readouterr() == ("", err)
+
+
+def test_audit_refuses_a_pool_above_its_cap_before_any_work():
+    over = [str(i % 2) for i in range(lab.MAX_POOL_SIZE + 1)]  # duplicates count
+    result = run_cli("audit", "--props", "R4.9", "--pool", *over)
+    assert result.returncode == 64 and result.stdout == ""
+    assert result.stderr == (
+        f"usage error: grade pool must have 1 to {lab.MAX_POOL_SIZE} grades, got {len(over)}\n"
+    )
+    at_cap = [f"{i}/{lab.MAX_POOL_SIZE - 1}" for i in range(lab.MAX_POOL_SIZE)]
+    result = run_cli(
+        "audit", "--props", "P4.2", "--trials", "1", "--catalog", "cyclic2", "--pool", *at_cap
+    )
+    assert result.returncode == 0 and "P4.2" in result.stdout
+
+
 def test_fuzzy_check_bad_alpha_is_usage_error_before_any_file_is_read(monkeypatch, capsys):
     from qfuzzy import cli
 
-    message = "usage error: bad grade literal 'bogus': Invalid literal for Fraction: 'bogus'\n"
+    message = (
+        "usage error: bad grade literal 'bogus': expected a decimal such as 0.4 or a ratio"
+        " such as 2/5, in ASCII digits\n"
+    )
     assert cli.main(["fuzzy", "check", "/nonexistent.fuzzy", "--alpha", "bogus"]) == 64
     assert capsys.readouterr().err == message
 
@@ -645,12 +687,17 @@ def _parsed(parser, argv):
         return type(exc), str(exc)
 
 
+def _main_build(cli, argv):
+    # the build `main` chooses: the named command alone, else every command
+    return cli._build_parser(argv[0] if argv and argv[0] in cli._COMMANDS else None)
+
+
 @pytest.mark.parametrize("argv", PARSER_ARGVS)
 def test_a_one_command_parser_parses_like_the_full_parser(argv):
     from qfuzzy import cli
 
     argv = argv.split()
-    one = _parsed(cli._build_parser(argv[0]), argv)
+    one = _parsed(_main_build(cli, argv), argv)
     assert one == _parsed(cli._build_parser(None), argv)
     assert isinstance(one, dict) or one[0] is cli.UsageError
 
@@ -684,8 +731,7 @@ def test_a_one_command_parser_prints_the_full_parsers_help(path, monkeypatch):
 
     monkeypatch.setenv("COLUMNS", "80")
     full = _help(cli._build_parser(None), path)
-    for command in ([path[0]] if path else COMMAND_HELP):
-        assert _help(cli._build_parser(command), path) == full
+    assert _help(_main_build(cli, path), path) == full
 
 
 def test_the_root_always_knows_every_command(monkeypatch, capsys):
@@ -700,8 +746,14 @@ def test_the_root_always_knows_every_command(monkeypatch, capsys):
     required = "usage error: the following arguments are required: command\n"
     assert capsys.readouterr().err == required
     monkeypatch.setenv("COLUMNS", "80")
-    for command in COMMAND_HELP:
-        lines = _help(cli._build_parser(command), ()).splitlines()
-        for name, help_text in COMMAND_HELP.items():
-            assert any(line.split() == [name, *help_text.split()] for line in lines)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name, help_text in COMMAND_HELP.items():
+        assert any(line.split() == [name, *help_text.split()] for line in lines)
+    # a named command is built alone under the root
+    actions = cli._build_parser("fuzzy")._actions
+    (commands,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == {"fuzzy"}
 
